@@ -6,7 +6,6 @@ from .matrix import (
     Mat,
     NotAUnitError,
     ShapeError,
-    diagonal,
     identity,
     mat_from_document,
     mat_to_document,
@@ -36,7 +35,6 @@ from .ring import (
 from .stab import (
     CongruenceMatrix,
     NotInSchemeError,
-    NotInvertibleError,
     NotStabilizingError,
     PreimageReport,
     RelationFailedError,

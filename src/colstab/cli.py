@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .localize import LocalizedElement, loc_decompose
 from .matrix import (
     Mat,
+    NotAUnitError,
     ShapeError,
     identity,
     mat_from_document,
@@ -40,7 +41,6 @@ from .stab import (
     CongruenceMatrix,
     DEFAULT_BUDGET,
     NotInSchemeError,
-    NotInvertibleError,
     NotStabilizingError,
     ResidueQuadruple,
     SearchBudget,
@@ -96,29 +96,17 @@ class CheckResult:
         return self.failed == 0
 
 
-def _random_element(rng: random.Random, ring: RingDescriptor, max_terms=3, bound=3):
-    acc = ring.zero
-    for _ in range(rng.randint(0, max_terms)):
-        exps = []
-        for _ in range(ring.nvars):
-            if ring.mode is Mode.POLYNOMIAL:
-                exps.append(rng.randint(0, 2))
-            else:
-                exps.append(rng.randint(-1, 2))
-        acc = acc + ring.monomial(rng.randint(-bound, bound), exps)
-    return acc
-
-
-def _random_two_variable(rng, ring, max_terms=3, bound=3, only_var1=False):
+def _random_element(
+    rng: random.Random, ring: RingDescriptor, max_terms=3, bound=3, span=None
+):
+    """Sum of up to max_terms random monomials in the first span variables
+    (all of them by default)."""
+    low = 0 if ring.mode is Mode.POLYNOMIAL else -1
     acc = ring.zero
     for _ in range(rng.randint(0, max_terms)):
         exps = [0] * ring.nvars
-        span = 1 if only_var1 else 2
-        for i in range(span):
-            if ring.mode is Mode.POLYNOMIAL:
-                exps[i] = rng.randint(0, 2)
-            else:
-                exps[i] = rng.randint(-1, 2)
+        for i in range(ring.nvars if span is None else span):
+            exps[i] = rng.randint(low, 2)
         acc = acc + ring.monomial(rng.randint(-bound, bound), exps)
     return acc
 
@@ -164,8 +152,8 @@ def suite_decomposition(ring, trials, seed, budget=None):
             if f.denom_exp <= 1:
                 dec = loc_decompose(f, rng.randint(1, 3))
                 tally("localized-reconstruction", dec.reconstruct() == f)
-        b1 = _random_two_variable(rng, ring)
-        b2 = _random_two_variable(rng, ring)
+        b1 = _random_element(rng, ring, span=2)
+        b2 = _random_element(rng, ring, span=2)
         beta = b1 * ring.c(1) + b2 * ring.c(2)
         s1, s2 = delta_split_linear(beta)
         tally("split-reconstruction", s1 * ring.c(1) + s2 * ring.c(2) == beta)
@@ -177,13 +165,13 @@ def suite_stab2(ring, trials, seed, budget=None):
     col = [ring.c(1), ring.c(2)]
     fixes, adds, shapes = [0, 0], [0, 0], [0, 0]
     for _ in range(trials):
-        a = _random_two_variable(rng, ring)
-        b = _random_two_variable(rng, ring)
+        a = _random_element(rng, ring, span=2)
+        b = _random_element(rng, ring, span=2)
         m = stab2(a)
         ok = m.apply_column(col) == col and m.det() == ring.one
         fixes[0 if ok else 1] += 1
         adds[0 if stab2(a) * stab2(b) == stab2(a + b) else 1] += 1
-        lam = _random_two_variable(rng, ring)
+        lam = _random_element(rng, ring, span=2)
         shaped = Mat(
             [
                 [ring.one + lam * ring.c(1) * ring.c(2), -lam * ring.c(1) * ring.c(1)],
@@ -252,17 +240,7 @@ def suite_homomorphism(ring, trials, seed, budget=None):
 
 
 def _random_splits(rng, ring):
-    return CandidateSplits(
-        _random_two_variable(rng, ring),
-        _random_two_variable(rng, ring),
-        _random_two_variable(rng, ring),
-        _random_two_variable(rng, ring),
-        _random_two_variable(rng, ring),
-        _random_two_variable(rng, ring),
-        _random_two_variable(rng, ring),
-        _random_two_variable(rng, ring),
-        _random_two_variable(rng, ring),
-    )
+    return CandidateSplits(*[_random_element(rng, ring, span=2) for _ in range(9)])
 
 
 def suite_determinant(ring, trials, seed, budget=None):
@@ -288,8 +266,8 @@ def _random_scheme_zero_defect(rng, ring):
     family = rng.randrange(3)
     if family == 0:
         # congruent to the identity modulo c2, determinant exactly 1
-        b = _random_two_variable(rng, ring, max_terms=2, bound=2)
-        h = _random_two_variable(rng, ring, max_terms=2, bound=2)
+        b = _random_element(rng, ring, max_terms=2, bound=2, span=2)
+        h = _random_element(rng, ring, max_terms=2, bound=2, span=2)
         beta = b * c2
         gamma = (-b + h * c2) * c2
         alpha = h - b * b + b * h * c2
@@ -297,15 +275,15 @@ def _random_scheme_zero_defect(rng, ring):
         return ResidueQuadruple(alpha, beta, gamma, delta).to_matrix()
     if family == 1:
         # free of variable 2, determinant exactly 1
-        b = _random_two_variable(rng, ring, max_terms=2, bound=2, only_var1=True)
-        h = _random_two_variable(rng, ring, max_terms=2, bound=2, only_var1=True)
+        b = _random_element(rng, ring, max_terms=2, bound=2, span=1)
+        h = _random_element(rng, ring, max_terms=2, bound=2, span=1)
         beta = b * c1
         gamma = (-b + h * c1) * c1
         alpha = h - b * b + b * h * c1
         delta = c1 * c1
         return ResidueQuadruple(alpha, beta, gamma, delta).to_matrix()
     # upper triangular; in Laurent mode the diagonal may be any monomial units
-    alpha = _random_two_variable(rng, ring, max_terms=2, bound=2)
+    alpha = _random_element(rng, ring, max_terms=2, bound=2, span=2)
     if ring.mode is Mode.LAURENT:
         exps = [rng.randint(-1, 1), rng.randint(-1, 1)] + [0] * (ring.nvars - 2)
         m1 = ring.monomial(1, exps)
@@ -475,7 +453,7 @@ def cmd_check_stab(args) -> int:
         )
         _note("matrix does not stabilize the column")
         return EXIT_VIOLATION
-    except NotInvertibleError as exc:
+    except NotAUnitError as exc:
         _emit(
             {
                 "subcommand": "check-stab",
@@ -499,13 +477,13 @@ def _certify(args) -> StabMatrix:
     m = _load_matrix(args)
     try:
         return check_stab(m)
-    except (NotStabilizingError, NotInvertibleError) as exc:
+    except (NotStabilizingError, NotAUnitError) as exc:
         raise _DomainExit(str(exc)) from exc
 
 
 def cmd_residues(args) -> int:
     a = _certify(args)
-    q = residues(a)
+    q = residues_closed_form(a)
     _emit(
         {
             "subcommand": "residues",

@@ -31,12 +31,13 @@ class NotAUnitError(ColstabError):
 
 
 class Mat:
-    """Rectangular matrix; all entries share one ring descriptor and one entry kind."""
+    """Immutable rectangular matrix; all entries share one ring descriptor and
+    one entry kind.  ``rows`` is a tuple of tuples."""
 
-    __slots__ = ("rows", "ring", "localized", "_hash")
+    __slots__ = ("rows", "ring", "localized")
 
     def __init__(self, rows):
-        rows = [list(r) for r in rows]
+        rows = tuple(map(tuple, rows))
         if not rows or not rows[0]:
             raise ShapeError("matrix must be nonempty")
         width = len(rows[0])
@@ -52,7 +53,6 @@ class Mat:
         self.rows = rows
         self.ring = ring
         self.localized = localized
-        self._hash = None
 
     @property
     def nrows(self) -> int:
@@ -72,9 +72,7 @@ class Mat:
         return self.rows == other.rows
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(tuple(tuple(r) for r in self.rows))
-        return self._hash
+        return hash(self.rows)
 
     def __add__(self, other):
         if not isinstance(other, Mat):
@@ -223,30 +221,11 @@ def transvection(ring: RingDescriptor, n: int, i: int, j: int, a: RingElement) -
     return identity(ring, n) + matrix_unit(ring, n, i, j).scale(a)
 
 
-def diagonal(ring: RingDescriptor, entries) -> Mat:
-    entries = list(entries)
-    n = len(entries)
-    rows = [
-        [
-            entries[i] if i == j else ring.zero
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return Mat(rows)
-
-
 def promote(m: Mat, ring: RingDescriptor) -> Mat:
     """Reinterpret a ring-element matrix in a larger ring."""
     if m.localized:
         raise ShapeError("cannot promote a localized matrix")
     return m.map(lambda x: x.promote(ring))
-
-
-def to_localized(m: Mat) -> Mat:
-    if m.localized:
-        return m
-    return m.map(lambda x: LocalizedElement(x, 0))
 
 
 # -- JSON document codec ----------------------------------------------------------

@@ -138,10 +138,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def constant_value(self):
-        """Coefficient of the trivial monomial."""
-        return self._terms.get((0,) * self.ring.nvars, 0)
-
     def free_of(self, k: int) -> bool:
         """True when no term involves variable k."""
         self.ring._check_index(k)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .localize import LocalizedElement, loc_decompose
-from .matrix import Mat, identity, mat_to_document, transvection
+from .matrix import Mat, NotAUnitError, identity, mat_to_document, transvection
 from .ring import (
     ColstabError,
     NotDivisibleError,
@@ -36,12 +36,6 @@ class NotStabilizingError(ColstabError):
             + str([format_element(x) for x in defect])
         )
         self.defect = defect
-
-
-class NotInvertibleError(ColstabError):
-    def __init__(self, det):
-        super().__init__(f"determinant {det} is not a unit")
-        self.det = det
 
 
 class RelationFailedError(ColstabError):
@@ -77,10 +71,13 @@ def conjugator(ring: RingDescriptor) -> Mat:
 
 @dataclass(frozen=True)
 class StabMatrix:
-    """A 3x3 matrix certified to fix the column and to have unit determinant."""
+    """A 3x3 matrix certified to fix the column and to have unit determinant.
+
+    Only ``check_stab`` and the group operations below construct one; both
+    properties are closed under products and inverses.
+    """
 
     mat: Mat
-    certified: bool = True
 
     @property
     def ring(self) -> RingDescriptor:
@@ -107,7 +104,7 @@ def check_stab(m: Mat) -> StabMatrix:
         raise NotStabilizingError(defect)
     det = m.det()
     if not det.is_unit():
-        raise NotInvertibleError(det)
+        raise NotAUnitError(det)
     return StabMatrix(m)
 
 
@@ -218,7 +215,11 @@ def _solve_multiple(m: Mat, block: Mat) -> RingElement:
 
 
 def residues(a: StabMatrix) -> ResidueQuadruple:
-    """Residues extracted from the reduction relations; the authoritative route."""
+    """Residues extracted from the reduction relations.
+
+    An independent route to the residues that ``rho`` takes from
+    ``residues_closed_form``; the verification suites cross-check the two.
+    """
     block = annihilator_block(a.ring)
     parts = r_decompose(reduce(a))
     alpha = _solve_multiple(parts.pole, block)
@@ -229,7 +230,8 @@ def residues(a: StabMatrix) -> ResidueQuadruple:
 
 
 def residues_closed_form(a: StabMatrix) -> ResidueQuadruple:
-    """Residues from closed formulas in the c3-heads of the matrix minus identity."""
+    """Residues from closed formulas in the c3-heads of the matrix minus identity;
+    the route ``rho`` takes."""
     ring = a.ring
     c1, c2 = ring.c(1), ring.c(2)
     diff = a.mat - identity(ring, 3)
@@ -314,7 +316,7 @@ class CongruenceMatrix:
 
 def rho(a: StabMatrix) -> CongruenceMatrix:
     """The homomorphism onto congruence-type 2x2 matrices over two variables."""
-    return CongruenceMatrix(residues(a).to_matrix())
+    return CongruenceMatrix(residues_closed_form(a).to_matrix())
 
 
 @dataclass(frozen=True)
@@ -493,8 +495,9 @@ def _search_transvection_preimage(
             zero, zero, zero, zero, zero, zero, d12, nu - d12, zero
         )
         cand, defect = candidate_from_splits(splits)
-        if defect.is_zero and cand.det().is_unit():
-            lifted = StabMatrix(cand)
+        if defect.is_zero:
+            # zero defect: the determinant equals the target's, which is 1
+            lifted = check_stab(cand)
             if rho(lifted).mat == target:
                 return lifted
     # tame words up to the budgeted length, split into two halves

@@ -149,10 +149,12 @@ def stab2_param(m: Mat) -> RingElement:
 
 
 def eval_word(ring: RingDescriptor, word: TameWord) -> StabMatrix:
-    result = identity(ring, 3)
+    """The product of the word's letters; each letter is certified, so the
+    product is too."""
+    result = check_stab(identity(ring, 3))
     for letter in word.letters:
-        result = result * letter.evaluate(ring).mat
-    return check_stab(result)
+        result = result * letter.evaluate(ring)
+    return result
 
 
 _T_INDICES = ((1, 2, 3), (2, 1, 3), (3, 1, 2))

@@ -13,7 +13,7 @@ import pathlib
 
 import pytest
 
-from colstab.cli import main
+from colstab.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -97,8 +97,6 @@ def test_golden_output(name):
 
 
 def test_every_subcommand_is_covered():
-    from colstab.cli import build_parser
-
     subparsers = build_parser()._subparsers._group_actions[0].choices
     assert {argv[0] for argv in CASES.values()} == set(subparsers)
 

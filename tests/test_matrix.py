@@ -137,6 +137,16 @@ def test_shape_errors():
         Mat([[POLY3.one, LAUR3.one]])
 
 
+def test_matrices_are_immutable_dict_keys(ring3):
+    m = transvection(ring3, 2, 2, 1, ring3.c(1))
+    seen = {m: "key"}
+    with pytest.raises(TypeError):
+        m.rows[0][0] = ring3.zero
+    with pytest.raises(TypeError):
+        m.rows[0] = (ring3.zero, ring3.zero)
+    assert seen[transvection(ring3, 2, 2, 1, ring3.c(1))] == "key"
+
+
 def test_json_document_round_trip(ring3):
     rng = random.Random(19)
     m = _random_mat(rng, ring3, 3)

@@ -7,8 +7,8 @@ from colstab import (
     LocalizedElement,
     Mat,
     Mode,
+    NotAUnitError,
     NotInSchemeError,
-    NotInvertibleError,
     NotStabilizingError,
     RingDescriptor,
     annihilator_block,
@@ -61,11 +61,11 @@ def test_check_stab_accepts_row_perturbations(ring3):
     rng = random.Random(3)
     for _ in range(10):
         a = ring3.monomial(rng.randint(-3, 3), [rng.randint(0, 2)] * 3)
-        assert gen_T(ring3, 3, 1, 2, a).certified
+        check_stab(gen_T(ring3, 3, 1, 2, a).mat)
 
 
 def test_check_stab_accepts_identity(ring3):
-    assert check_stab(identity(ring3, 3)).certified
+    assert check_stab(identity(ring3, 3)).mat == identity(ring3, 3)
 
 
 def test_check_stab_reports_defect(ring3):
@@ -82,7 +82,7 @@ def test_check_stab_requires_unit_determinant(ring3):
         - matrix_unit(ring3, 3, 1, 2).scale(c1 * c2)
     )
     assert m.apply_column(column(ring3)) == column(ring3)
-    with pytest.raises(NotInvertibleError) as err:
+    with pytest.raises(NotAUnitError) as err:
         check_stab(m)
     assert err.value.det == ring3.one + c2 * c2
 
@@ -243,6 +243,14 @@ def test_rho_examples(ring3):
 
     img = rho(gen_S(ring3, 2, 3, a)).mat
     assert img == Mat([[ring3.one, ring3.zero], [-a * c1 * c2 * c2, ring3.one]])
+
+
+def test_rho_rejects_images_outside_the_scheme(ring3):
+    ring4 = RingDescriptor(ring3.mode, 4)
+    a = gen_T(ring4, 3, 1, 2, ring4.var(4))
+    assert residues_closed_form(a).alpha == -ring4.var(4)
+    with pytest.raises(NotInSchemeError):
+        rho(a)
 
 
 def test_rho_is_multiplicative_in_operand_order(ring3):
