@@ -418,11 +418,17 @@ def build_preimage_candidate(b: CongruenceMatrix) -> tuple[Mat, RingElement]:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Bounds for the transvection-preimage search."""
+    """Bound on the length of the tame words the transvection-preimage search
+    tries; the meet-in-the-middle scan covers words of length up to
+    ``word_length`` rounded down to an even number."""
 
     word_length: int = 4
-    coeff_bound: int = 2
-    split_bound: int = 2
+
+    def __post_init__(self):
+        if self.word_length < 2:
+            raise ColstabError(
+                f"search word length must be at least 2, got {self.word_length}"
+            )
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -457,22 +463,22 @@ def _specialize_mat(m: Mat, k: int) -> Mat:
     return m.map(lambda x: x.specialize(k))
 
 
-def _generator_images(ring: RingDescriptor, coeff_bound: int):
+# The search's letters carry the nonzero constant parameters -2..2.
+_SEARCH_COEFF_BOUND = 2
+
+
+def _generator_images(ring: RingDescriptor):
     """Images of single tame letters with constant parameters, with witnesses."""
     from . import tame  # deferred import; tame builds on this module
 
-    letters = []
-    for value in range(-coeff_bound, coeff_bound + 1):
+    images = []
+    for value in range(-_SEARCH_COEFF_BOUND, _SEARCH_COEFF_BOUND + 1):
         if value == 0:
             continue
         a = ring.const(value)
-        for (i, j, k) in ((1, 2, 3), (2, 1, 3), (3, 1, 2)):
-            letters.append(tame.Letter("T", (i, j, k), a))
-        for (i, j) in ((1, 2), (1, 3), (2, 3)):
-            letters.append(tame.Letter("S", (i, j), a))
-    images = []
-    for letter in letters:
-        images.append((rho(tame.eval_word(ring, tame.TameWord((letter,)))).mat, letter))
+        letters = [tame.Letter("T", idx, a) for idx in tame.T_INDICES]
+        letters += [tame.Letter("S", idx, a) for idx in tame.S_INDICES]
+        images += [(rho(letter.evaluate(ring)).mat, letter) for letter in letters]
     return images
 
 
@@ -481,31 +487,16 @@ def _search_transvection_preimage(
 ) -> Optional[StabMatrix]:
     """Bounded search for a stabilizer whose image is the lower transvection by nu*c1*c2.
 
-    Tries candidate lifts over alternative lower-left splits first, then tame
-    words up to the budgeted length via a meet-in-the-middle scan.
+    Scans tame words up to the budgeted length meet-in-the-middle: products
+    of up to half that many letters on each side are keyed by their image.
     """
     from . import tame
 
-    zero = ring.zero
     target = transvection(ring, 2, 2, 1, nu * ring.c(1) * ring.c(2))
-    # alternative splits of the lower-left coefficient
-    for s in range(-budget.split_bound, budget.split_bound + 1):
-        d12 = ring.const(s)
-        splits = CandidateSplits(
-            zero, zero, zero, zero, zero, zero, d12, nu - d12, zero
-        )
-        cand, defect = candidate_from_splits(splits)
-        if defect.is_zero:
-            # zero defect: the determinant equals the target's, which is 1
-            lifted = check_stab(cand)
-            if rho(lifted).mat == target:
-                return lifted
-    # tame words up to the budgeted length, split into two halves
-    half = max(budget.word_length // 2, 1)
-    images = _generator_images(ring, budget.coeff_bound)
+    images = _generator_images(ring)
     seen: dict[Mat, tuple] = {identity(ring, 2): ()}
     frontier = [(identity(ring, 2), ())]
-    for _ in range(half):
+    for _ in range(budget.word_length // 2):
         new_frontier = []
         for mat, word in frontier:
             for img, letter in images:

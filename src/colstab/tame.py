@@ -34,6 +34,11 @@ class NotInStab2Error(ColstabError):
         self.witness = witness
 
 
+# Every index tuple a T and an S letter can carry.
+T_INDICES = ((1, 2, 3), (2, 1, 3), (3, 1, 2))
+S_INDICES = ((1, 2), (1, 3), (2, 3))
+
+
 @dataclass(frozen=True)
 class Letter:
     """One generator token: kind 'T' with indices (i, j, k) or 'S' with (i, j)."""
@@ -157,10 +162,6 @@ def eval_word(ring: RingDescriptor, word: TameWord) -> StabMatrix:
     return result
 
 
-_T_INDICES = ((1, 2, 3), (2, 1, 3), (3, 1, 2))
-_S_INDICES = ((1, 2), (1, 3), (2, 3))
-
-
 def _random_param(rng: random.Random, ring: RingDescriptor, coeff_bound: int) -> RingElement:
     coeff = rng.randint(-coeff_bound, coeff_bound)
     exps = [0] * ring.nvars
@@ -183,9 +184,9 @@ def sample_tame(
     for _ in range(length):
         param = _random_param(rng, ring, coeff_bound)
         if rng.random() < 0.5:
-            letters.append(Letter("T", rng.choice(_T_INDICES), param))
+            letters.append(Letter("T", rng.choice(T_INDICES), param))
         else:
-            letters.append(Letter("S", rng.choice(_S_INDICES), param))
+            letters.append(Letter("S", rng.choice(S_INDICES), param))
     return TameWord(tuple(letters))
 
 

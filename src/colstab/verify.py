@@ -1,0 +1,366 @@
+"""Randomized verification suites, run by ``colstab verify`` and by the
+acceptance tests.
+
+Each suite takes a ring, a trial count, a seed and a preimage search budget,
+draws its inputs from one seeded stream, and returns one pass/fail tally per
+property it checks.  All comparisons are exact.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+
+from .localize import LocalizedElement, loc_decompose
+from .matrix import Mat, identity, transvection
+from .ring import (
+    ColstabError,
+    Mode,
+    RingDescriptor,
+    c_adic_decompose,
+    delta_split_linear,
+    format_element,
+)
+from .stab import (
+    CandidateSplits,
+    CongruenceMatrix,
+    DEFAULT_BUDGET,
+    ResidueQuadruple,
+    annihilator_block,
+    build_preimage_candidate,
+    candidate_from_splits,
+    check_stab,
+    compose_residues,
+    in_H,
+    matrix_from_splits,
+    preimage,
+    r_decompose,
+    reduce,
+    residues,
+    residues_closed_form,
+    rho,
+)
+from .tame import (
+    S_INDICES,
+    T_INDICES,
+    Letter,
+    NotInStab2Error,
+    cohn_matrix,
+    eval_word,
+    gen_S,
+    gen_T,
+    prop2_check,
+    sample_tame,
+    stab2,
+    stab2_param,
+)
+
+
+@dataclass
+class CheckResult:
+    """The pass/fail tally of one checked property."""
+
+    name: str
+    passed: int
+    failed: int
+    detail: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.failed == 0
+
+
+def _random_element(
+    rng: random.Random, ring: RingDescriptor, max_terms=3, bound=3, span=None
+):
+    """Sum of up to max_terms random monomials in the first span variables
+    (all of them by default)."""
+    low = 0 if ring.mode is Mode.POLYNOMIAL else -1
+    acc = ring.zero
+    for _ in range(rng.randint(0, max_terms)):
+        exps = [0] * ring.nvars
+        for i in range(ring.nvars if span is None else span):
+            exps[i] = rng.randint(low, 2)
+        acc = acc + ring.monomial(rng.randint(-bound, bound), exps)
+    return acc
+
+
+def _random_c_divisor(rng, ring):
+    d = ring.one
+    for k in range(1, min(ring.nvars, 3) + 1):
+        for _ in range(rng.randint(0, 2)):
+            d = d * ring.c(k)
+    return d
+
+
+def suite_decomposition(ring, trials, seed, budget=DEFAULT_BUDGET):
+    rng = random.Random(seed)
+    results = {
+        "codec-round-trip": [0, 0],
+        "c-adic-reconstruction": [0, 0],
+        "exact-division-round-trip": [0, 0],
+        "specialize-homomorphism": [0, 0],
+        "localized-reconstruction": [0, 0],
+        "split-reconstruction": [0, 0],
+    }
+
+    def tally(key, ok):
+        results[key][0 if ok else 1] += 1
+
+    for _ in range(trials):
+        g = _random_element(rng, ring)
+        h = _random_element(rng, ring)
+        tally("codec-round-trip", ring.parse(format_element(g)) == g)
+        k = rng.randint(1, ring.nvars)
+        t = rng.randint(1, 3)
+        tally("c-adic-reconstruction", c_adic_decompose(g, k, t).reconstruct() == g)
+        d = _random_c_divisor(rng, ring)
+        tally("exact-division-round-trip", (g * d).divide_exact(d) == g)
+        k = rng.randint(1, ring.nvars)
+        ok = (g * h).specialize(k) == g.specialize(k) * h.specialize(k) and (
+            g + h
+        ).specialize(k) == g.specialize(k) + h.specialize(k)
+        tally("specialize-homomorphism", ok)
+        if ring.nvars >= 3:
+            f = LocalizedElement(g, rng.randint(0, 1))
+            if f.denom_exp <= 1:
+                dec = loc_decompose(f, rng.randint(1, 3))
+                tally("localized-reconstruction", dec.reconstruct() == f)
+        b1 = _random_element(rng, ring, span=2)
+        b2 = _random_element(rng, ring, span=2)
+        beta = b1 * ring.c(1) + b2 * ring.c(2)
+        s1, s2 = delta_split_linear(beta)
+        tally("split-reconstruction", s1 * ring.c(1) + s2 * ring.c(2) == beta)
+    return [CheckResult(name, p, f) for name, (p, f) in results.items()]
+
+
+def suite_stab2(ring, trials, seed, budget=DEFAULT_BUDGET):
+    rng = random.Random(seed)
+    col = [ring.c(1), ring.c(2)]
+    fixes, adds, shapes = [0, 0], [0, 0], [0, 0]
+    for _ in range(trials):
+        a = _random_element(rng, ring, span=2)
+        b = _random_element(rng, ring, span=2)
+        m = stab2(a)
+        ok = m.apply_column(col) == col and m.det() == ring.one
+        fixes[0 if ok else 1] += 1
+        adds[0 if stab2(a) * stab2(b) == stab2(a + b) else 1] += 1
+        lam = _random_element(rng, ring, span=2)
+        shaped = Mat(
+            [
+                [ring.one + lam * ring.c(1) * ring.c(2), -lam * ring.c(1) * ring.c(1)],
+                [lam * ring.c(2) * ring.c(2), ring.one - lam * ring.c(1) * ring.c(2)],
+            ]
+        )
+        try:
+            shapes[0 if stab2_param(shaped) == lam else 1] += 1
+        except NotInStab2Error:
+            shapes[1] += 1
+    return [
+        CheckResult("stab2-fixes-column-det-1", *fixes),
+        CheckResult("stab2-one-parameter-group", *adds),
+        CheckResult("stab2-param-round-trip", *shapes),
+    ]
+
+
+def _sample_stab(rng, ring, max_len=8):
+    return eval_word(ring, sample_tame(ring, rng.getrandbits(32), rng.randint(0, max_len)))
+
+
+def suite_relations(ring, trials, seed, budget=DEFAULT_BUDGET):
+    rng = random.Random(seed)
+    block = annihilator_block(ring)
+    relations, agree = [0, 0], [0, 0]
+    for _ in range(trials):
+        a = _sample_stab(rng, ring)
+        try:
+            q = residues(a)
+            parts = r_decompose(reduce(a))
+            ok = (
+                parts.pole == block.scale(q.alpha)
+                and parts.order0 * block == block.scale(q.beta)
+                and block * parts.order0 == block.scale(q.gamma)
+                and block * parts.order1 * block == block.scale(q.delta)
+            )
+            relations[0 if ok else 1] += 1
+            agree[0 if residues_closed_form(a) == q else 1] += 1
+        except ColstabError:
+            relations[1] += 1
+            agree[1] += 1
+    return [
+        CheckResult("residue-relations-exact", *relations),
+        CheckResult("closed-form-agreement", *agree),
+    ]
+
+
+def suite_homomorphism(ring, trials, seed, budget=DEFAULT_BUDGET):
+    rng = random.Random(seed)
+    mult, unit, inv, comp = [0, 0], [0, 0], [0, 0], [0, 0]
+    unit[0 if rho(check_stab(identity(ring, 3))).mat == identity(ring, 2) else 1] += 1
+    for _ in range(trials):
+        a = _sample_stab(rng, ring, max_len=5)
+        b = _sample_stab(rng, ring, max_len=5)
+        ra, rb = rho(a), rho(b)
+        mult[0 if rho(a * b).mat == ra.mat * rb.mat else 1] += 1
+        inv[0 if rho(a.inverse()).mat == ra.mat.inverse() else 1] += 1
+        composed = compose_residues(residues(a), residues(b))
+        comp[0 if composed.to_matrix() == ra.mat * rb.mat else 1] += 1
+    return [
+        CheckResult("rho-multiplicative", *mult),
+        CheckResult("rho-identity", *unit),
+        CheckResult("rho-inverse", *inv),
+        CheckResult("residue-composition-matches-product", *comp),
+    ]
+
+
+def _random_splits(rng, ring):
+    return CandidateSplits(*[_random_element(rng, ring, span=2) for _ in range(9)])
+
+
+def suite_determinant(ring, trials, seed, budget=DEFAULT_BUDGET):
+    rng = random.Random(seed)
+    ok, bad, nonzero_defects = 0, 0, 0
+    for _ in range(trials):
+        splits = _random_splits(rng, ring)
+        cand, defect = candidate_from_splits(splits)
+        b = matrix_from_splits(splits)
+        if not defect.is_zero:
+            nonzero_defects += 1
+        if cand.det() == b.det() + defect:
+            ok += 1
+        else:
+            bad += 1
+    detail = f"{nonzero_defects} samples had a nonzero defect"
+    return [CheckResult("candidate-determinant-defect", ok, bad, detail)]
+
+
+def _random_scheme_zero_defect(rng, ring):
+    """Scheme matrices whose canonical splits have zero determinant defect."""
+    c1, c2 = ring.c(1), ring.c(2)
+    family = rng.randrange(3)
+    if family < 2:
+        # family 0 is congruent to the identity modulo c2, family 1 is free of
+        # variable 2; both have determinant exactly 1
+        c, span = (c2, 2) if family == 0 else (c1, 1)
+        b = _random_element(rng, ring, max_terms=2, bound=2, span=span)
+        h = _random_element(rng, ring, max_terms=2, bound=2, span=span)
+        alpha = h - b * b + b * h * c
+        return ResidueQuadruple(alpha, b * c, (-b + h * c) * c, c * c).to_matrix()
+    # upper triangular; in Laurent mode the diagonal may be any monomial units
+    alpha = _random_element(rng, ring, max_terms=2, bound=2, span=2)
+    if ring.mode is Mode.LAURENT:
+        exps = [rng.randint(-1, 1), rng.randint(-1, 1)] + [0] * (ring.nvars - 2)
+        m1 = ring.monomial(1, exps)
+        exps = [rng.randint(-1, 1), rng.randint(-1, 1)] + [0] * (ring.nvars - 2)
+        m2 = ring.monomial(1, exps)
+    else:
+        m1 = m2 = ring.one
+    return Mat([[m1, alpha], [ring.zero, m2]])
+
+
+def suite_preimage(ring, trials, seed, budget=DEFAULT_BUDGET):
+    rng = random.Random(seed)
+    round_trips, successes = [0, 0], [0, 0]
+    for _ in range(trials):
+        b = CongruenceMatrix(_random_scheme_zero_defect(rng, ring))
+        cand, defect = build_preimage_candidate(b)
+        ok = (
+            defect.is_zero
+            and cand.det().is_unit()
+            and rho(check_stab(cand)).mat == b.mat
+        )
+        round_trips[0 if ok else 1] += 1
+        report = preimage(b, budget)
+        ok = report.ok and rho(report.preimage).mat == b.mat
+        successes[0 if ok else 1] += 1
+    results = [
+        CheckResult("candidate-rho-round-trip", *round_trips),
+        CheckResult("preimage-success-zero-correction", *successes),
+    ]
+    if ring.mode is Mode.POLYNOMIAL:
+        cohn = CongruenceMatrix(cohn_matrix(ring))
+        report = preimage(cohn, budget)
+        ok = (
+            report.ok
+            and report.preimage.mat.det() == ring.one
+            and rho(report.preimage).mat == cohn.mat
+        )
+        results.append(CheckResult("cohn-preimage", 1 if ok else 0, 0 if ok else 1))
+    blocked = transvection(ring, 2, 2, 1, ring.c(1) * ring.c(2))
+    report = preimage(CongruenceMatrix(blocked), budget)
+    ok = (
+        report.status == "OBSTRUCTED"
+        and report.stage == "transvection-preimage"
+        and report.obstruction == ring.one
+    )
+    results.append(
+        CheckResult("mixed-transvection-obstructed", 1 if ok else 0, 0 if ok else 1)
+    )
+    return results
+
+
+def _sample_kernel_member(rng, ring, max_len=4):
+    c3 = ring.c(3)
+    c3_sq = c3 * c3
+    kinds = (
+        lambda p: gen_T(ring, 1, 2, 3, p * c3),
+        lambda p: gen_T(ring, 2, 1, 3, p * c3),
+        lambda p: gen_T(ring, 3, 1, 2, p * c3_sq),
+        lambda p: gen_S(ring, 1, 3, p * c3),
+        lambda p: gen_S(ring, 2, 3, p * c3),
+        lambda p: gen_S(ring, 1, 2, p * c3_sq),
+    )
+    result = check_stab(identity(ring, 3))
+    for _ in range(rng.randint(1, max_len)):
+        p = _random_element(rng, ring, max_terms=2, bound=2)
+        result = result * rng.choice(kinds)(p)
+    return result
+
+
+def suite_kernel(ring, trials, seed, budget=DEFAULT_BUDGET):
+    rng = random.Random(seed)
+    member, trivial = [0, 0], [0, 0]
+    for _ in range(trials):
+        a = _sample_kernel_member(rng, ring)
+        member[0 if in_H(a) else 1] += 1
+        trivial[0 if rho(a).mat == identity(ring, 2) else 1] += 1
+    return [
+        CheckResult("kernel-scheme-membership", *member),
+        CheckResult("kernel-maps-to-identity", *trivial),
+    ]
+
+
+def suite_triangular(ring, trials, seed, budget=DEFAULT_BUDGET):
+    rng = random.Random(seed)
+    count = [0, 0]
+    tokens = [("T", idx) for idx in T_INDICES] + [("S", idx) for idx in S_INDICES]
+    per_token = max(trials // len(tokens), 1)
+    for kind, indices in tokens:
+        for _ in range(per_token):
+            letter = Letter(kind, indices, _random_element(rng, ring, max_terms=2))
+            count[0 if prop2_check(ring, letter) else 1] += 1
+    return [CheckResult("generator-images-triangular", *count)]
+
+
+SUITES = {
+    "decomposition": suite_decomposition,
+    "stab2": suite_stab2,
+    "relations": suite_relations,
+    "homomorphism": suite_homomorphism,
+    "determinant": suite_determinant,
+    "preimage": suite_preimage,
+    "kernel": suite_kernel,
+    "triangular": suite_triangular,
+}
+
+
+def run_suite(name, ring, trials, seed, budget=DEFAULT_BUDGET):
+    """Run one suite, or every suite in order for ``"all"``."""
+    if trials < 1:
+        raise ColstabError(f"trials must be at least 1, got {trials}")
+    if name == "all":
+        results = []
+        for key in SUITES:
+            results.extend(SUITES[key](ring, trials, seed, budget))
+        return results
+    return SUITES[name](ring, trials, seed, budget)

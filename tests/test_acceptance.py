@@ -12,7 +12,7 @@ from colstab import (
     preimage,
     transvection,
 )
-from colstab.cli import (
+from colstab.verify import (
     suite_determinant,
     suite_homomorphism,
     suite_kernel,

@@ -1,11 +1,17 @@
 import json
 
+import pytest
+
 from colstab import (
+    DescriptorMismatchError,
+    NotInIdealError,
+    RelationFailedError,
     cohn_matrix,
     gen_T,
     mat_to_document,
     transvection,
 )
+import colstab.cli
 from colstab.cli import main
 
 from conftest import POLY2, POLY3
@@ -92,6 +98,19 @@ def test_preimage_rejects_non_scheme_input(capsys):
     code, out, _ = run_cli(capsys, "preimage", "--inline", doc)
     assert code == 3
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_budget_below_two_is_a_domain_error(capsys, budget):
+    doc = _doc(cohn_matrix(POLY2))
+    for argv in (
+        ["preimage", "--inline", doc, "--budget", budget],
+        ["verify", "--suite", "preimage", "--trials", "1", "--budget", budget],
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 3
+        assert payload["error"] == "domain"
+        assert "at least 2" in payload["message"]
+
 def test_decompose(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -150,6 +169,29 @@ def test_verify_homomorphism_contract(capsys):
     )
     assert multiplicative["passed"] == 200
     assert multiplicative["failed"] == 0
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_verify_rejects_vacuous_runs(capsys, trials):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "stab2", "--trials", trials)
+    payload = json.loads(out)
+    assert code == 3
+    assert payload["error"] == "domain"
+    assert "ok" not in payload
+
+@pytest.mark.parametrize(
+    "error",
+    [NotInIdealError("x"), DescriptorMismatchError("x"), RelationFailedError("x")],
+    ids=lambda error: type(error).__name__,
+)
+def test_every_library_error_exits_3_with_json(capsys, monkeypatch, error):
+    def fail(_):
+        raise error
+
+    monkeypatch.setattr(colstab.cli, "rho", fail)
+    doc = _doc(gen_T(POLY3, 3, 1, 2, POLY3.one).mat)
+    code, out, _ = run_cli(capsys, "rho", "--inline", doc)
+    assert code == 3
+    assert json.loads(out) == {"subcommand": "rho", "error": "domain", "message": "x"}
 
 def test_verify_output_reproducible(capsys):
     args = ["verify", "--suite", "stab2", "--trials", "20", "--seed", "3"]

@@ -56,6 +56,8 @@ DEFECT = _doc("polynomial", 3, [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"
 NON_UNIT = _doc("polynomial", 3, [["a2^2 + 1", "-a1*a2", "0"], ["0", "1", "0"], ["0", "0", "1"]])
 COHN = _doc("polynomial", 2, [["a1*a2 + 1", "-a1^2"], ["a2^2", "-a1*a2 + 1"]])
 T21_C1C2 = _doc("polynomial", 3, [["1", "0"], ["a1*a2", "1"]])
+# t21(c1): its lower-left entry lies outside the square of the ideal
+T21_C1 = _doc("polynomial", 2, [["1", "0"], ["a1", "1"]])
 
 CASES = {
     "check_stab_certified": ["check-stab", "--inline", POLY_STAB],
@@ -72,6 +74,7 @@ CASES = {
     "decompose": ["decompose", "--mode", "laurent", "--expr", "a1*a3^2 - a3^-1 + 2", "--var", "3"],
     "preimage_cohn": ["preimage", "--inline", COHN],
     "preimage_t21": ["preimage", "--inline", T21_C1C2],
+    "preimage_not_in_scheme": ["preimage", "--inline", T21_C1],
     "tame_sample_polynomial": ["tame-sample", "--seed", "4", "--length", "4"],
     "tame_sample_laurent": ["tame-sample", "--mode", "laurent", "--seed", "4", "--length", "4"],
     "verify_all": ["verify", "--suite", "all", "--mode", "both", "--trials", "3", "--seed", "11"],

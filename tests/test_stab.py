@@ -3,6 +3,7 @@ import random
 import pytest
 
 from colstab import (
+    ColstabError,
     CongruenceMatrix,
     LocalizedElement,
     Mat,
@@ -418,11 +419,20 @@ def test_preimage_found_by_word_search(ring3):
 
 
 def test_preimage_search_budget_can_be_tightened(ring3):
-    target = transvection(
-        ring3, 2, 2, 1, ring3.c(1) * ring3.c(1) * ring3.c(2)
-    )
-    report = preimage(CongruenceMatrix(target), SearchBudget(word_length=4, coeff_bound=0))
+    c1, c2 = ring3.c(1), ring3.c(2)
+    target = CongruenceMatrix(transvection(ring3, 2, 2, 1, 5 * c1 * c1 * c2))
+    report = preimage(target, SearchBudget(word_length=4))
+    assert report.ok
+    assert rho(report.preimage).mat == target.mat
+    report = preimage(target, SearchBudget(word_length=2))
     assert report.status == "OBSTRUCTED"
+    assert report.stage == "transvection-preimage"
+
+
+@pytest.mark.parametrize("word_length", [1, 0, -3])
+def test_search_budget_rejects_words_shorter_than_two(word_length):
+    with pytest.raises(ColstabError):
+        SearchBudget(word_length=word_length)
 
 
 # -- the kernel subgroup --------------------------------------------------------------
