@@ -19,6 +19,7 @@ from .ring import (
     Coeff,
     ColstabError,
     DescriptorMismatchError,
+    ExponentRangeError,
     Mode,
     NotDivisibleError,
     NotInIdealError,

@@ -48,7 +48,7 @@ class Mat:
         ring = first.ring
         for r in rows:
             for x in r:
-                if isinstance(x, LocalizedElement) != localized or x.ring != ring:
+                if isinstance(x, LocalizedElement) != localized or x.ring is not ring:
                     raise ShapeError("entries must share one ring and one entry kind")
         self.rows = rows
         self.ring = ring

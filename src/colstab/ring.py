@@ -5,6 +5,14 @@ Elements live in K[a1, ..., an] (polynomial mode) or K[a1^{+-1}, ..., an^{+-1}]
 distinguished element c_i: the variable itself in polynomial mode, a_i - 1 in
 Laurent mode.  The c_i vanish at the base point (all zeros, respectively all
 ones) and generate the augmentation ideal.
+
+Monomials are packed exponent vectors (Monagan and Pearce): one Python int
+per monomial with a fixed-width field per variable, variable 1 in the most
+significant field, each field holding its exponent plus a bias so that
+Laurent exponents fit too.  Integer order of the keys is lexicographic order
+of the exponent vectors, a product of two monomials is one integer addition,
+and one variable's exponent is read or replaced with a shift and a mask.
+Exponents are bounded in magnitude by ``MAX_EXPONENT``.
 """
 
 from __future__ import annotations
@@ -13,6 +21,21 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import lshift
+
+MAX_EXPONENT = 1 << 20
+"""Largest exponent magnitude an element may carry, in either mode.
+
+The parser rejects a larger exponent with ``ParseError``; a product that
+would carry one raises ``ExponentRangeError``.  Keys never wrap silently.
+"""
+
+# A field holds exponent + _BIAS.  The bias leaves room for the sum of two
+# in-range exponents, so a product of in-range monomials is computed without
+# carrying into a neighbouring field before its range is checked.
+_FIELD_BITS = MAX_EXPONENT.bit_length() + 2
+_BIAS = 1 << (_FIELD_BITS - 1)
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 
 class ColstabError(Exception):
@@ -37,6 +60,15 @@ class NotInIdealError(ColstabError):
     pass
 
 
+class ExponentRangeError(ColstabError):
+    """An exponent of magnitude above ``MAX_EXPONENT`` would be stored."""
+
+    def __init__(self, magnitude: int):
+        super().__init__(
+            f"exponent of magnitude {magnitude} exceeds the limit {MAX_EXPONENT}"
+        )
+
+
 class Mode(Enum):
     POLYNOMIAL = "polynomial"
     LAURENT = "laurent"
@@ -47,49 +79,79 @@ class Coeff(Enum):
     RATIONALS = "rat"
 
 
-@dataclass(frozen=True)
+_INTERNED: dict = {}
+
+
 class RingDescriptor:
-    """Shape of the coefficient ring: mode, number of variables, coefficient domain."""
+    """Shape of the coefficient ring: mode, number of variables, coefficient domain.
 
-    mode: Mode
-    nvars: int
-    coeff: Coeff = Coeff.INTEGERS
+    Interned: the constructor returns one canonical instance per
+    ``(mode, nvars, coeff)``, so rings compare by identity.  ``zero``, ``one``
+    and the ``c(i)`` are built once per descriptor.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        if self.nvars < 1:
+    __slots__ = ("mode", "nvars", "coeff", "zero", "one", "_c", "_shifts", "_origin")
+
+    def __new__(cls, mode: Mode, nvars: int, coeff: Coeff = Coeff.INTEGERS):
+        key = (mode, nvars, coeff)
+        ring = _INTERNED.get(key)
+        if ring is not None:
+            return ring
+        if nvars < 1:
             raise ValueError("nvars must be >= 1")
+        ring = super().__new__(cls)
+
+        def init(name, value):
+            object.__setattr__(ring, name, value)
+
+        init("mode", mode)
+        init("nvars", nvars)
+        init("coeff", coeff)
+        # Bit offset of each variable's field, variable 1 highest.
+        shifts = tuple(_FIELD_BITS * (nvars - 1 - i) for i in range(nvars))
+        init("_shifts", shifts)
+        # The key of the exponent vector 0: every field at the bias.
+        init("_origin", sum(_BIAS << s for s in shifts))
+        init("zero", _element(ring, {}, 0))
+        init("one", ring.const(1))
+        unit = _coerce_coeff(ring, 1)
+        variables = [_element(ring, {ring._origin + (1 << s): unit}, 1) for s in shifts]
+        if mode is Mode.LAURENT:
+            variables = [v - 1 for v in variables]
+        init("_c", tuple(variables))
+        # setdefault, so that of two threads building one ring both get the first.
+        return _INTERNED.setdefault(key, ring)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RingDescriptor is immutable")
+
+    def __reduce__(self):
+        return RingDescriptor, (self.mode, self.nvars, self.coeff)
+
+    def __repr__(self):
+        return f"RingDescriptor(mode={self.mode}, nvars={self.nvars}, coeff={self.coeff})"
 
     # -- element constructors -------------------------------------------------
 
-    @property
-    def zero(self) -> RingElement:
-        return RingElement(self, {})
-
-    @property
-    def one(self) -> RingElement:
-        return self.const(1)
-
     def const(self, value) -> RingElement:
-        return RingElement(self, {(0,) * self.nvars: value})
+        value = _coerce_coeff(self, value)
+        return _element(self, {self._origin: value} if value else {}, 0)
 
     def var(self, i: int) -> RingElement:
         """The variable a_i (1-based)."""
         self._check_index(i)
-        exps = [0] * self.nvars
-        exps[i - 1] = 1
-        return RingElement(self, {tuple(exps): 1})
+        key = self._origin + (1 << self._shifts[i - 1])
+        return _element(self, {key: _coerce_coeff(self, 1)}, 1)
 
     def c(self, i: int) -> RingElement:
         """The distinguished element c_i: a_i in polynomial mode, a_i - 1 in Laurent mode."""
-        if self.mode is Mode.POLYNOMIAL:
-            return self.var(i)
-        return self.var(i) - 1
+        self._check_index(i)
+        return self._c[i - 1]
 
     def monomial(self, coeff, exps) -> RingElement:
-        exps = tuple(exps)
-        if len(exps) != self.nvars:
-            raise ValueError("exponent vector has wrong length")
-        return RingElement(self, {exps: coeff})
+        key, span = self._pack(exps)
+        coeff = _coerce_coeff(self, coeff)
+        return _element(self, {key: coeff}, span) if coeff else self.zero
 
     def parse(self, text: str) -> RingElement:
         return parse_element(self, text)
@@ -98,41 +160,78 @@ class RingDescriptor:
         if not 1 <= i <= self.nvars:
             raise ValueError(f"variable index {i} outside 1..{self.nvars}")
 
+    # -- packed monomial keys ---------------------------------------------------
+
+    def _pack(self, exps) -> tuple[int, int]:
+        """Key of a validated exponent vector and its largest exponent magnitude."""
+        exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise ValueError("exponent vector has wrong length")
+        low, high = min(exps), max(exps)
+        if low < 0 and self.mode is Mode.POLYNOMIAL:
+            raise ValueError("negative exponent in polynomial mode")
+        magnitude = max(high, -low)
+        if magnitude > MAX_EXPONENT:
+            raise ExponentRangeError(magnitude)
+        return self._origin + sum(map(lshift, exps, self._shifts)), magnitude
+
+    def _unpack(self, key: int) -> tuple:
+        return tuple(((key >> s) & _FIELD_MASK) - _BIAS for s in self._shifts)
+
+    def _field(self, k: int) -> tuple[int, int]:
+        """Mask of variable k's field and the masked value of exponent 0."""
+        shift = self._shifts[k - 1]
+        return _FIELD_MASK << shift, _BIAS << shift
+
+
+def _element(ring: RingDescriptor, terms: dict, span: int) -> RingElement:
+    """An element from packed terms with no zero coefficient; span bounds the
+    magnitude of every exponent in them."""
+    g = object.__new__(RingElement)
+    g.ring = ring
+    g._terms = terms
+    g._span = span
+    g._hash = None
+    return g
+
 
 class RingElement:
     """A sparse exact (Laurent) polynomial: a map from exponent vectors to coefficients.
 
-    Canonical form: no stored coefficient is zero.  Instances are immutable;
-    all arithmetic returns fresh elements.
+    Canonical form: no stored coefficient is zero.  ``_terms`` maps packed
+    monomial keys to coefficients; ``terms`` shows them as exponent tuples.
+    ``_span`` is an upper bound on the magnitude of every exponent, which lets
+    a product skip its range check while the bounds of its operands stay
+    small.  Instances are immutable; all arithmetic returns fresh elements.
     """
 
-    __slots__ = ("ring", "_terms", "_hash")
+    __slots__ = ("ring", "_terms", "_span", "_hash")
 
-    def __init__(self, ring: RingDescriptor, terms, *, _clean: bool = False):
-        self.ring = ring
-        if _clean:
-            self._terms = terms
-        else:
-            cleaned = {}
-            for exps, coeff in dict(terms).items():
-                exps = tuple(exps)
-                if len(exps) != ring.nvars:
-                    raise ValueError("exponent vector has wrong length")
-                if ring.mode is Mode.POLYNOMIAL and any(e < 0 for e in exps):
-                    raise ValueError("negative exponent in polynomial mode")
-                coeff = _coerce_coeff(ring, coeff)
+    def __init__(self, ring: RingDescriptor, terms):
+        """The element with ``terms``, a map from exponent tuples to coefficients."""
+        packed = {}
+        span = 0
+        for exps, coeff in dict(terms).items():
+            key, magnitude = ring._pack(exps)
+            coeff = _coerce_coeff(ring, coeff)
+            if coeff:
+                span = max(span, magnitude)
+                coeff += packed.get(key, 0)
                 if coeff:
-                    cleaned[exps] = cleaned.get(exps, 0) + coeff
-                    if not cleaned[exps]:
-                        del cleaned[exps]
-            self._terms = cleaned
+                    packed[key] = coeff
+                else:
+                    del packed[key]
+        self.ring = ring
+        self._terms = packed
+        self._span = span
         self._hash = None
 
     # -- canonical views ------------------------------------------------------
 
     @property
     def terms(self):
-        return dict(self._terms)
+        unpack = self.ring._unpack
+        return {unpack(key): coeff for key, coeff in self._terms.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -141,13 +240,14 @@ class RingElement:
     def free_of(self, k: int) -> bool:
         """True when no term involves variable k."""
         self.ring._check_index(k)
-        return all(e[k - 1] == 0 for e in self._terms)
+        mask, zero = self.ring._field(k)
+        return all((key & mask) == zero for key in self._terms)
 
     # -- arithmetic -----------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
-            if other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise DescriptorMismatchError("operands live in different rings")
             return other
         if isinstance(other, (int, Fraction)):
@@ -159,47 +259,71 @@ class RingElement:
         if other is None:
             return NotImplemented
         acc = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            val = acc.get(exps, 0) + coeff
+        for key, coeff in other._terms.items():
+            val = acc.get(key, 0) + coeff
             if val:
-                acc[exps] = val
-            elif exps in acc:
-                del acc[exps]
-        return RingElement(self.ring, acc, _clean=True)
+                acc[key] = val
+            else:
+                del acc[key]
+        return _element(self.ring, acc, max(self._span, other._span))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElement(
-            self.ring, {e: -c for e, c in self._terms.items()}, _clean=True
+        return _element(
+            self.ring, {key: -c for key, c in self._terms.items()}, self._span
         )
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        acc = dict(self._terms)
+        for key, coeff in other._terms.items():
+            val = acc.get(key, 0) - coeff
+            if val:
+                acc[key] = val
+            else:
+                del acc[key]
+        return _element(self.ring, acc, max(self._span, other._span))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                val = acc.get(exps, 0) + c1 * c2
-                if val:
-                    acc[exps] = val
-                elif exps in acc:
-                    del acc[exps]
-        return RingElement(self.ring, acc, _clean=True)
+        ring = self.ring
+        small, large = self._terms, other._terms
+        if len(small) > len(large):
+            small, large = large, small
+        if len(small) == 1:
+            # A monomial factor shifts every key; no two products collide.
+            ((key, coeff),) = small.items()
+            key -= ring._origin
+            acc = {key + k: coeff * c for k, c in large.items()}
+        else:
+            acc = {}
+            get = acc.get
+            origin = ring._origin
+            for k1, c1 in small.items():
+                k1 -= origin
+                for k2, c2 in large.items():
+                    key = k1 + k2
+                    acc[key] = get(key, 0) + c1 * c2
+            acc = {key: c for key, c in acc.items() if c}
+        span = self._span + other._span
+        if span > MAX_EXPONENT:
+            # In-range operands leave every field in range of its width, so
+            # the product's exponents can be read back and checked exactly.
+            span = max((abs(e) for key in acc for e in ring._unpack(key)), default=0)
+            if span > MAX_EXPONENT:
+                raise ExponentRangeError(span)
+        return _element(ring, acc, span)
 
     __rmul__ = __mul__
 
@@ -220,11 +344,11 @@ class RingElement:
             other = self.ring.const(other)
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
+        return self.ring is other.ring and self._terms == other._terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self._terms.items())))
+            self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
     def __bool__(self):
@@ -240,26 +364,24 @@ class RingElement:
 
     def specialize(self, k: int) -> RingElement:
         """Evaluate variable k at the base point (c_k -> 0); a ring homomorphism."""
-        self.ring._check_index(k)
-        idx = k - 1
-        if self.ring.mode is Mode.POLYNOMIAL:
-            kept = {e: c for e, c in self._terms.items() if e[idx] == 0}
-            return RingElement(self.ring, kept, _clean=True)
+        ring = self.ring
+        ring._check_index(k)
+        mask, zero = ring._field(k)
+        if ring.mode is Mode.POLYNOMIAL:
+            kept = {key: c for key, c in self._terms.items() if (key & mask) == zero}
+            return _element(ring, kept, self._span)
         acc = {}
-        for exps, coeff in self._terms.items():
-            collapsed = exps[:idx] + (0,) + exps[idx + 1 :]
-            val = acc.get(collapsed, 0) + coeff
-            if val:
-                acc[collapsed] = val
-            elif collapsed in acc:
-                del acc[collapsed]
-        return RingElement(self.ring, acc, _clean=True)
+        for key, coeff in self._terms.items():
+            key += zero - (key & mask)
+            acc[key] = acc.get(key, 0) + coeff
+        return _element(ring, {key: c for key, c in acc.items() if c}, self._span)
 
     def specialize_all(self) -> RingElement:
-        g = self
-        for k in range(1, self.ring.nvars + 1):
-            g = g.specialize(k)
-        return g
+        """Evaluate every variable at the base point: a constant."""
+        ring = self.ring
+        if ring.mode is Mode.POLYNOMIAL:
+            return ring.const(self._terms.get(ring._origin, 0))
+        return ring.const(sum(self._terms.values()))
 
     def divide_exact(self, d: RingElement) -> RingElement:
         """Exact quotient by a product of c_i powers; NotDivisibleError otherwise."""
@@ -288,17 +410,18 @@ class RingElement:
         """Multiplicative inverse when the element is a unit, else None."""
         if len(self._terms) != 1:
             return None
-        (exps, coeff), = self._terms.items()
-        if self.ring.mode is Mode.POLYNOMIAL and any(e != 0 for e in exps):
+        ring = self.ring
+        ((key, coeff),) = self._terms.items()
+        if ring.mode is Mode.POLYNOMIAL and key != ring._origin:
             return None
-        if self.ring.coeff is Coeff.INTEGERS:
+        if ring.coeff is Coeff.INTEGERS:
             if coeff not in (1, -1):
                 return None
             inv_coeff = coeff
         else:
             inv_coeff = Fraction(1) / coeff
-        inv_exps = tuple(-e for e in exps)
-        return RingElement(self.ring, {inv_exps: inv_coeff})
+        # Field by field, 2*bias - (e + bias) = -e + bias.
+        return _element(ring, {2 * ring._origin - key: inv_coeff}, self._span)
 
     def promote(self, ring: RingDescriptor) -> RingElement:
         """Reinterpret in a ring with more variables (same mode and coefficients)."""
@@ -306,8 +429,13 @@ class RingElement:
             raise DescriptorMismatchError("promotion must preserve mode and coefficients")
         if ring.nvars < self.ring.nvars:
             raise DescriptorMismatchError("promotion cannot drop variables")
-        pad = (0,) * (ring.nvars - self.ring.nvars)
-        return RingElement(ring, {e + pad: c for e, c in self._terms.items()}, _clean=True)
+        shift = _FIELD_BITS * (ring.nvars - self.ring.nvars)
+        pad = ring._origin - (self.ring._origin << shift)
+        return _element(
+            ring,
+            {(key << shift) + pad: c for key, c in self._terms.items()},
+            self._span,
+        )
 
 
 def _coerce_coeff(ring: RingDescriptor, value):
@@ -330,50 +458,40 @@ def _divide_c(g: RingElement, k: int) -> RingElement:
     ring._check_index(k)
     if g.is_zero:
         return g
-    idx = k - 1
+    mask, zero = ring._field(k)
+    unit = 1 << ring._shifts[k - 1]
     if ring.mode is Mode.POLYNOMIAL:
-        quotient = {}
-        for exps, coeff in g._terms.items():
-            if exps[idx] < 1:
-                raise NotDivisibleError(f"not divisible by c{k}")
-            quotient[exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]] = coeff
-        return RingElement(ring, quotient, _clean=True)
-    # Laurent mode: synthetic division by (a_k - 1) after clearing negative powers.
-    lo = min(e[idx] for e in g._terms)
-    hi = max(e[idx] for e in g._terms)
-    levels: list[dict] = [{} for _ in range(hi - lo + 1)]
-    for exps, coeff in g._terms.items():
-        rest = exps[:idx] + (0,) + exps[idx + 1 :]
-        levels[exps[idx] - lo][rest] = coeff
-    degree = hi - lo
-    if degree == 0:
+        if any((key & mask) == zero for key in g._terms):
+            raise NotDivisibleError(f"not divisible by c{k}")
+        return _element(
+            ring, {key - unit: c for key, c in g._terms.items()}, g._span
+        )
+    # Laurent mode: synthetic division by (a_k - 1), one column of terms at a
+    # time, a column being the terms that agree outside field k.  Going down
+    # the column, the quotient's coefficient at a power of a_k is the sum of
+    # the column's coefficients above it; that sum over the whole column is
+    # the remainder.  The remainders add up to g at the base point, so a
+    # nonzero value there rules divisibility out before any column is built.
+    if sum(g._terms.values()):
         raise NotDivisibleError(f"not divisible by c{k}")
-    q_levels: list[dict] = [{} for _ in range(degree)]
-    carry: dict = {}
-    for d in range(degree, 0, -1):
-        coeffs = dict(carry)
-        for rest, coeff in levels[d].items():
-            val = coeffs.get(rest, 0) + coeff
-            if val:
-                coeffs[rest] = val
-            elif rest in coeffs:
-                del coeffs[rest]
-        q_levels[d - 1] = coeffs
-        carry = coeffs
-    remainder = dict(carry)
-    for rest, coeff in levels[0].items():
-        val = remainder.get(rest, 0) + coeff
-        if val:
-            remainder[rest] = val
-        elif rest in remainder:
-            del remainder[rest]
-    if remainder:
-        raise NotDivisibleError(f"not divisible by c{k}")
+    columns: dict = {}
+    for key, coeff in g._terms.items():
+        field = key & mask
+        columns.setdefault(key - field, []).append((field, coeff))
     quotient = {}
-    for d, level in enumerate(q_levels):
-        for rest, coeff in level.items():
-            quotient[rest[:idx] + (d + lo,) + rest[idx + 1 :]] = coeff
-    return RingElement(ring, quotient, _clean=True)
+    for rest, column in columns.items():
+        column.sort(reverse=True)
+        total = 0
+        upper = None
+        for field, coeff in column:
+            if total:
+                for level in range(field, upper, unit):
+                    quotient[rest + level] = total
+            total += coeff
+            upper = field
+        if total:
+            raise NotDivisibleError(f"not divisible by c{k}")
+    return _element(ring, quotient, g._span)
 
 
 @dataclass(frozen=True)
@@ -473,136 +591,139 @@ def delta_split_quadratic(
 
 # -- text codec ----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(a\d+)|([+\-*/^])|(\S))")
+# One token per match: a number, a variable aN, an operator, or any other
+# non-space character, which is an error.
+_TOKEN = re.compile(r"\s*(\d+|a\d+|[+\-*/^]|\S)")
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        if m.group(4) is not None:
-            raise ParseError(f"unexpected character {m.group(4)!r}", m.start(4))
-        if m.group(1) is not None:
-            tokens.append(("int", m.group(1), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("var", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _fail(text: str, tokens: list, i: int, message: str):
+    """Raise the error of the first unexpected character, else ``message`` at token i.
 
-
-class _Parser:
-    def __init__(self, ring: RingDescriptor, text: str):
-        self.ring = ring
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def parse(self) -> RingElement:
-        result = self.parse_term(allow_sign=True)
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                term = self.parse_term(allow_sign=False)
-                result = result + term if value == "+" else result - term
-            elif kind == "end":
-                return result
-            else:
-                _, value, at = self.peek()
-                raise ParseError(f"expected '+' or '-' before {value!r}", at)
-
-    def parse_term(self, allow_sign: bool) -> RingElement:
-        sign = 1
-        kind, value, at = self.peek()
-        if allow_sign and kind == "op" and value in "+-":
-            self.advance()
-            sign = -1 if value == "-" else 1
-            kind, value, at = self.peek()
-        if kind == "int":
-            term = self.ring.const(self.parse_coeff())
-        elif kind == "var":
-            term = self.parse_factor()
-        else:
-            raise ParseError("expected a coefficient or a variable", at)
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                term = term * self.parse_factor()
-            else:
-                break
-        return term * sign if sign < 0 else term
-
-    def parse_coeff(self):
-        kind, value, at = self.advance()
-        numerator = int(value)
-        kind, value, at = self.peek()
-        if kind == "op" and value == "/":
-            if self.ring.coeff is not Coeff.RATIONALS:
-                raise ParseError("rational coefficients are not enabled", at)
-            self.advance()
-            kind, value, at = self.advance()
-            if kind != "int":
-                raise ParseError("expected a denominator", at)
-            return Fraction(numerator, int(value))
-        return numerator
-
-    def parse_factor(self) -> RingElement:
-        kind, value, at = self.advance()
-        if kind != "var":
-            raise ParseError("expected a variable", at)
-        index = int(value[1:])
-        if not 1 <= index <= self.ring.nvars:
-            raise ParseError(f"unknown variable {value!r}", at)
-        exponent = 1
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            negative = False
-            kind, value, at = self.peek()
-            if kind == "op" and value == "-":
-                self.advance()
-                negative = True
-            kind, value, at = self.advance()
-            if kind != "int":
-                raise ParseError("expected an exponent", at)
-            exponent = -int(value) if negative else int(value)
-            if exponent < 0 and self.ring.mode is Mode.POLYNOMIAL:
-                raise ParseError("negative exponent in polynomial mode", at)
-        exps = [0] * self.ring.nvars
-        exps[index - 1] = exponent
-        return RingElement(self.ring, {tuple(exps): 1})
+    Token positions are recovered here, on the error path only.  A grammar
+    error is reported only for text free of unexpected characters, wherever
+    they are.
+    """
+    positions = [m.start(1) for m in _TOKEN.finditer(text)] + [len(text)]
+    for token, at in zip(tokens, positions):
+        # Numbers and variables are the tokens of more than one character.
+        if len(token) == 1 and not token.isdecimal() and token not in "+-*/^":
+            raise ParseError(f"unexpected character {token!r}", at)
+    raise ParseError(message, positions[i])
 
 
 def parse_element(ring: RingDescriptor, text: str) -> RingElement:
-    return _Parser(ring, text).parse()
+    """Parse the expression grammar: terms joined by '+'/'-', the first may be
+    signed; a term is an integer (or p/q) coefficient or a factor, followed by
+    '*'-joined factors; a factor is aN or aN^k, k negative in Laurent mode only.
+
+    The text is tokenized in one pass and every term is added straight into
+    one dict of packed keys.
+    """
+    if not isinstance(text, str):
+        raise ParseError(f"expected an expression string, got {type(text).__name__}", 0)
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # the end of the text
+    nvars, shifts = ring.nvars, ring._shifts
+    polynomial = ring.mode is Mode.POLYNOMIAL
+    rational = ring.coeff is Coeff.RATIONALS
+    one = Fraction(1) if rational else 1
+    acc: dict = {}
+    span = 0
+    i = 0
+    negate = False
+    if tokens[0] == "+" or tokens[0] == "-":
+        negate = tokens[0] == "-"
+        i = 1
+    try:
+        while True:
+            token = tokens[i]
+            exps = [0] * nvars
+            if token[:1].isdecimal():
+                coeff = int(token)
+                i += 1
+                if tokens[i] == "/":
+                    if not rational:
+                        _fail(text, tokens, i, "rational coefficients are not enabled")
+                    i += 1
+                    if not tokens[i][:1].isdecimal():
+                        _fail(text, tokens, i, "expected a denominator")
+                    denominator = int(tokens[i])
+                    if not denominator:
+                        _fail(text, tokens, i, "zero denominator")
+                    coeff = Fraction(coeff, denominator)
+                    i += 1
+                elif rational:
+                    coeff = Fraction(coeff)
+                factor = tokens[i] == "*"
+                i += factor
+            elif token[:1] == "a" and len(token) > 1:
+                coeff = one
+                factor = True
+            else:
+                _fail(text, tokens, i, "expected a coefficient or a variable")
+            while factor:
+                token = tokens[i]
+                if not (token[:1] == "a" and len(token) > 1):
+                    _fail(text, tokens, i, "expected a variable")
+                index = int(token[1:])
+                if not 1 <= index <= nvars:
+                    _fail(text, tokens, i, f"unknown variable {token!r}")
+                exponent = 1
+                at = i  # where a range error points: the exponent, else the variable
+                i += 1
+                if tokens[i] == "^":
+                    i += 1
+                    negative = tokens[i] == "-"
+                    i += negative
+                    if not tokens[i][:1].isdecimal():
+                        _fail(text, tokens, i, "expected an exponent")
+                    exponent = int(tokens[i])
+                    if negative and exponent:
+                        if polynomial:
+                            _fail(text, tokens, i, "negative exponent in polynomial mode")
+                        exponent = -exponent
+                    at = i
+                    i += 1
+                exponent += exps[index - 1]
+                if not -MAX_EXPONENT <= exponent <= MAX_EXPONENT:
+                    _fail(
+                        text, tokens, at,
+                        f"exponent {exponent} outside -{MAX_EXPONENT}..{MAX_EXPONENT}",
+                    )
+                exps[index - 1] = exponent
+                if exponent > span or -exponent > span:
+                    span = abs(exponent)
+                factor = tokens[i] == "*"
+                i += factor
+            key = ring._origin + sum(map(lshift, exps, shifts))
+            acc[key] = acc.get(key, 0) + (-coeff if negate else coeff)
+            token = tokens[i]
+            if token == "+" or token == "-":
+                negate = token == "-"
+                i += 1
+            elif not token:
+                break
+            else:
+                _fail(text, tokens, i, f"expected '+' or '-' before {token!r}")
+    except ValueError:  # a number with more digits than int() converts
+        _fail(text, tokens, i, "number has too many digits")
+    return _element(ring, {key: c for key, c in acc.items() if c}, span)
 
 
 def format_element(g: RingElement) -> str:
     """Canonical text form: terms in descending lexicographic exponent order."""
     if g.is_zero:
         return "0"
+    shifts = g.ring._shifts
     chunks = []
-    for exps in sorted(g._terms, reverse=True):
-        coeff = g._terms[exps]
+    for key in sorted(g._terms, reverse=True):
+        coeff = g._terms[key]
         factors = []
-        for i, e in enumerate(exps):
+        for i, shift in enumerate(shifts, 1):
+            e = ((key >> shift) & _FIELD_MASK) - _BIAS
             if e == 0:
                 continue
-            factors.append(f"a{i + 1}" if e == 1 else f"a{i + 1}^{e}")
+            factors.append(f"a{i}" if e == 1 else f"a{i}^{e}")
         mono = "*".join(factors)
         negative = coeff < 0
         magnitude = -coeff if negative else coeff

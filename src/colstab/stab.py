@@ -11,6 +11,7 @@ vanishing determinant defect lifts back to an explicit 3x3 stabilizer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -467,8 +468,13 @@ def _specialize_mat(m: Mat, k: int) -> Mat:
 _SEARCH_COEFF_BOUND = 2
 
 
-def _generator_images(ring: RingDescriptor):
-    """Images of single tame letters with constant parameters, with witnesses."""
+@functools.cache
+def _generator_images(ring: RingDescriptor) -> tuple:
+    """Images of single tame letters with constant parameters, with witnesses.
+
+    Built once per ring: descriptors are interned, so the cache holds one
+    alphabet per ring in use and every search on that ring shares it.
+    """
     from . import tame  # deferred import; tame builds on this module
 
     images = []
@@ -479,7 +485,7 @@ def _generator_images(ring: RingDescriptor):
         letters = [tame.Letter("T", idx, a) for idx in tame.T_INDICES]
         letters += [tame.Letter("S", idx, a) for idx in tame.S_INDICES]
         images += [(rho(letter.evaluate(ring)).mat, letter) for letter in letters]
-    return images
+    return tuple(images)
 
 
 def _search_transvection_preimage(

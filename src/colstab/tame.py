@@ -179,6 +179,8 @@ def sample_tame(
 ) -> TameWord:
     """Deterministic word sampler: uniform token kinds and index tuples,
     parameters monomials of total degree at most 2 with bounded coefficients."""
+    if length < 0:
+        raise ColstabError(f"word length must be at least 0, got {length}")
     rng = random.Random(seed)
     letters = []
     for _ in range(length):

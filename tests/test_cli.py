@@ -13,6 +13,7 @@ from colstab import (
 )
 import colstab.cli
 from colstab.cli import main
+from colstab.ring import MAX_EXPONENT
 
 from conftest import POLY2, POLY3
 
@@ -46,6 +47,35 @@ def test_malformed_polynomial_exits_2_with_position(capsys):
     code, out, _ = run_cli(capsys, "check-stab", "--inline", doc)
     assert code == 2
     assert "position" in json.loads(out)["message"]
+
+def _identity_document(entries):
+    return json.dumps({"ring": {"mode": "polynomial", "nvars": 3}, "entries": entries})
+
+@pytest.mark.parametrize(
+    "argv, position",
+    [
+        (["decompose", "--coeff", "rat", "--expr", "1/0"], 2),
+        (["decompose", "--expr", f"a1*a3^{MAX_EXPONENT + 1}"], 6),
+        (["check-stab", "--inline", _identity_document([[1, 0, 0], [0, 1, 0], [0, 0, 1]])], 0),
+    ],
+    ids=["zero-denominator", "exponent-range", "non-string-entries"],
+)
+def test_parser_input_errors_exit_2_with_json(capsys, argv, position):
+    code, out, _ = run_cli(capsys, *argv)
+    payload = json.loads(out)
+    assert code == 2
+    assert payload["error"] == "parse"
+    assert payload["message"].endswith(f"(at position {position})")
+
+def test_exponent_overflow_in_arithmetic_exits_3(capsys):
+    doc = _identity_document(
+        [[f"a1^{MAX_EXPONENT}", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    )
+    code, out, _ = run_cli(capsys, "check-stab", "--inline", doc)
+    payload = json.loads(out)
+    assert code == 3
+    assert payload["error"] == "domain"
+    assert "exceeds the limit" in payload["message"]
 
 def test_bad_json_exits_2(capsys):
     code, out, _ = run_cli(capsys, "check-stab", "--inline", "{not json")
@@ -145,6 +175,20 @@ def test_tame_sample_deterministic_and_byte_identical(capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert len(payload["word"]) == 5
+
+def test_tame_sample_rejects_negative_length(capsys):
+    code, out, _ = run_cli(capsys, "tame-sample", "--length", "-3")
+    payload = json.loads(out)
+    assert code == 3
+    assert payload["error"] == "domain"
+    assert "length" in payload["message"]
+
+def test_tame_sample_of_length_zero_is_the_identity(capsys):
+    code, out, _ = run_cli(capsys, "tame-sample", "--length", "0", "--mode", "laurent")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["word"] == []
+    assert payload["matrix"]["entries"] == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
 def test_verify_homomorphism_contract(capsys):
     code, out, err = run_cli(

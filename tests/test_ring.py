@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,11 +9,13 @@ from hypothesis import strategies as st
 from colstab import (
     Coeff,
     DescriptorMismatchError,
+    ExponentRangeError,
     Mode,
     NotDivisibleError,
     NotInIdealError,
     ParseError,
     RingDescriptor,
+    RingElement,
     c_adic_decompose,
     delta_split_linear,
     delta_split_quadratic,
@@ -20,7 +24,25 @@ from colstab import (
     parse_element,
 )
 
+from colstab.ring import MAX_EXPONENT
 from conftest import LAUR2, LAUR3, POLY2, POLY3, elements
+
+
+# -- descriptors ----------------------------------------------------------------
+
+
+def test_descriptors_are_interned():
+    assert RingDescriptor(Mode.POLYNOMIAL, 3) is POLY3
+    assert RingDescriptor(Mode.POLYNOMIAL, 3, Coeff.INTEGERS) is POLY3
+    assert RingDescriptor(Mode.POLYNOMIAL, 3, Coeff.RATIONALS) is not POLY3
+    assert RingDescriptor(Mode.LAURENT, 3) is not POLY3
+    assert LAUR3.one is LAUR3.one and LAUR3.c(2) is LAUR3.c(2)
+    # Copies and pickles resolve to the canonical instance, so identity
+    # checks keep working on them.
+    assert copy.deepcopy(LAUR3.c(1)).ring is LAUR3
+    assert pickle.loads(pickle.dumps(LAUR3.c(1))) == LAUR3.c(1)
+    with pytest.raises(AttributeError):
+        POLY3.nvars = 4
 
 
 # -- codec ----------------------------------------------------------------------
@@ -51,6 +73,12 @@ def test_parse_errors_carry_position():
         POLY3.parse("a9")
     with pytest.raises(ParseError):
         POLY3.parse("3 % 4")
+
+
+def test_parse_rejects_non_string_input_at_position_0():
+    with pytest.raises(ParseError) as err:
+        POLY3.parse(1)
+    assert err.value.position == 0
 
 
 def test_parse_rationals_only_when_enabled():
@@ -86,6 +114,54 @@ def test_cohn_determinant_expansion():
 def test_laurent_monomial_times_inverse():
     a1 = LAUR3.var(1)
     assert a1 * LAUR3.parse("a1^-1") == LAUR3.one
+
+
+@pytest.mark.parametrize("ring", [POLY3, LAUR3], ids=["polynomial", "laurent"])
+def test_exponents_at_the_limit_parse_and_multiply(ring):
+    top = ring.parse(f"a1^{MAX_EXPONENT - 1}")
+    assert (top * ring.var(1)).terms == {(MAX_EXPONENT, 0, 0): 1}
+    g = ring.parse(f"a2^{MAX_EXPONENT}*a3 + 1")
+    assert g.terms == {(0, MAX_EXPONENT, 1): 1, (0, 0, 0): 1}
+    assert ring.parse(format_element(g)) == g
+    assert ring.var(2) ** MAX_EXPONENT == ring.monomial(1, (0, MAX_EXPONENT, 0))
+
+
+def test_laurent_exponents_at_the_limit():
+    low = LAUR3.parse(f"a1^-{MAX_EXPONENT}")
+    # The operands' bounds add up past the limit; the exact product does not.
+    assert low * LAUR3.parse(f"a1^{MAX_EXPONENT}*a2") == LAUR3.var(2)
+    assert (low * LAUR3.c(2)).terms == {(-MAX_EXPONENT, 1, 0): 1, (-MAX_EXPONENT, 0, 0): -1}
+
+
+@pytest.mark.parametrize("ring", [POLY3, LAUR3], ids=["polynomial", "laurent"])
+def test_exponents_past_the_limit_raise(ring):
+    text = f"a1 + a2^{MAX_EXPONENT + 1}"
+    with pytest.raises(ParseError, match="outside") as err:
+        ring.parse(text)
+    assert err.value.position == text.index("^") + 1
+    text = f"a1^{MAX_EXPONENT}*a3*a1"
+    with pytest.raises(ParseError, match="outside") as err:
+        ring.parse(text)
+    assert err.value.position == text.rindex("a1")
+    top = ring.parse(f"a1^{MAX_EXPONENT}")
+    with pytest.raises(ExponentRangeError):
+        top * ring.var(1)
+    with pytest.raises(ExponentRangeError):
+        ring.c(1) * (top + 1)
+    with pytest.raises(ExponentRangeError):
+        ring.var(2) ** (MAX_EXPONENT + 1)
+    with pytest.raises(ExponentRangeError):
+        RingElement(ring, {(0, 0, MAX_EXPONENT + 1): 1})
+
+
+def test_negative_laurent_exponents_past_the_limit_raise():
+    with pytest.raises(ParseError, match="outside"):
+        LAUR3.parse(f"a3^-{MAX_EXPONENT + 1}")
+    low = LAUR3.parse(f"a3^-{MAX_EXPONENT}")
+    with pytest.raises(ExponentRangeError):
+        low * LAUR3.parse("a3^-1")
+    with pytest.raises(ExponentRangeError):
+        low.unit_inverse() * LAUR3.var(3)
 
 
 def test_descriptor_mismatch_raises():

@@ -1,0 +1,205 @@
+"""Differential tests: the packed ring kernel against the tuple kernel it replaced.
+
+``reference_ring`` is that kernel, copied unchanged.  Every operation here
+must give the same exponent-tuple terms, the same printed text and the same
+errors in both, apart from inputs the packed parser rejects and the tuple
+parser did not: exponents beyond ``MAX_EXPONENT`` and zero denominators.
+"""
+
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_ring as ref
+from colstab.ring import (
+    MAX_EXPONENT,
+    Coeff,
+    Mode,
+    NotDivisibleError,
+    ParseError,
+    RingDescriptor,
+    RingElement,
+    _divide_c,
+    c_adic_decompose,
+    format_element,
+    parse_element,
+)
+
+
+@st.composite
+def rings(draw):
+    mode = draw(st.sampled_from(list(Mode)))
+    nvars = draw(st.integers(2, 4))
+    coeff = draw(st.sampled_from(list(Coeff)))
+    return RingDescriptor(mode, nvars, coeff), ref.RingDescriptor(mode, nvars, coeff)
+
+
+def term_dicts(ring, max_terms=5):
+    low = 0 if ring.mode is Mode.POLYNOMIAL else -3
+    exps = st.tuples(*([st.integers(low, 3)] * ring.nvars))
+    if ring.coeff is Coeff.RATIONALS:
+        coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+    else:
+        coeffs = st.integers(-5, 5).filter(bool)
+    return st.dictionaries(exps, coeffs, max_size=max_terms)
+
+
+def pair(draw, rings_):
+    new_ring, ref_ring = rings_
+    terms = draw(term_dicts(new_ring))
+    return RingElement(new_ring, terms), ref.RingElement(ref_ring, terms)
+
+
+def same(new, old):
+    """Equal as exponent-tuple maps and as printed text."""
+    assert new.terms == old.terms
+    assert format_element(new) == ref.format_element(old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_arithmetic_matches_the_tuple_kernel(data):
+    rings_ = data.draw(rings())
+    g, g_ref = pair(data.draw, rings_)
+    h, h_ref = pair(data.draw, rings_)
+    same(g, g_ref)
+    same(g * h, g_ref * h_ref)
+    same(g + h, g_ref + h_ref)
+    same(g - h, g_ref - h_ref)
+    same(-g, -g_ref)
+    same(3 - g, 3 - g_ref)
+    same(g * 2, g_ref * 2)
+    same(g**2, g_ref**2)
+    assert (g == h) == (g_ref == h_ref)
+    inverse, inverse_ref = g.unit_inverse(), g_ref.unit_inverse()
+    assert (inverse is None) == (inverse_ref is None)
+    if inverse is not None:
+        same(inverse, inverse_ref)
+    wider = RingDescriptor(rings_[0].mode, 4, rings_[0].coeff)
+    wider_ref = ref.RingDescriptor(rings_[0].mode, 4, rings_[0].coeff)
+    same(g.promote(wider), g_ref.promote(wider_ref))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_specialize_and_division_match_the_tuple_kernel(data):
+    rings_ = data.draw(rings())
+    ring, ring_ref = rings_
+    g, g_ref = pair(data.draw, rings_)
+    k = data.draw(st.integers(1, ring.nvars))
+    same(g.specialize(k), g_ref.specialize(k))
+    same(g.specialize_all(), g_ref.specialize_all())
+    assert g.free_of(k) == g_ref.free_of(k)
+    # Multiples of c_k are divisible; g itself usually is not.
+    for num, num_ref in ((g, g_ref), (g * ring.c(k), g_ref * ring_ref.c(k))):
+        try:
+            expected = ref._divide_c(num_ref, k)
+        except NotDivisibleError as exc:
+            with pytest.raises(NotDivisibleError, match=re.escape(str(exc))):
+                _divide_c(num, k)
+        else:
+            same(_divide_c(num, k), expected)
+    d = ring.c(k) * ring.c(1)
+    same((g * d).divide_exact(d), (g_ref * ring_ref.c(k) * ring_ref.c(1)).divide_exact(
+        ring_ref.c(k) * ring_ref.c(1)
+    ))
+    t = data.draw(st.integers(1, 3))
+    dec, dec_ref = c_adic_decompose(g, k, t), ref.c_adic_decompose(g_ref, k, t)
+    for head, head_ref in zip(dec.heads, dec_ref.heads, strict=True):
+        same(head, head_ref)
+    same(dec.tail, dec_ref.tail)
+
+
+def _compare_parse(ring, ring_ref, text):
+    try:
+        expected = ref.parse_element(ring_ref, text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_element(ring, text)
+        assert str(err.value) == str(exc)
+        assert err.value.position == exc.position
+        return
+    except ZeroDivisionError:
+        with pytest.raises(ParseError) as err:
+            parse_element(ring, text)
+        assert str(err.value).startswith("zero denominator")
+        assert text[err.value.position] == "0"
+        return
+    try:
+        got = parse_element(ring, text)
+    except ParseError as exc:
+        # The one new rejection: an exponent past the range, which needs
+        # literals adding up to more than it.
+        assert "outside" in str(exc)
+        assert sum(int(run) for run in re.findall(r"\d+", text)) > MAX_EXPONENT
+        return
+    same(got, expected)
+
+
+ALPHABET = "a1234^-+*/ 0%x"
+# Whole tokens as well as characters, so that more strings get past the first
+# token and exercise the later errors and the successful parses.
+PIECES = ["a1", "a2", "a3", "a4", "^", "-", "+", "*", "/", " ", "0", "1", "2", "12", "%", "x"]
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_parser_matches_the_tuple_kernel_on_random_strings(data):
+    ring, ring_ref = data.draw(rings())
+    text = data.draw(
+        st.one_of(
+            st.text(alphabet=ALPHABET, max_size=20),
+            st.lists(st.sampled_from(PIECES), max_size=12).map("".join),
+        )
+    )
+    _compare_parse(ring, ring_ref, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parser_matches_the_tuple_kernel_on_printed_elements(data):
+    rings_ = data.draw(rings())
+    g, g_ref = pair(data.draw, rings_)
+    _compare_parse(*rings_, format_element(g))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1/0", "a1 + 3/0*a2", "2/00", "1/2 - 0/0"],
+    ids=["constant", "coefficient", "padded", "zero-numerator"],
+)
+def test_zero_denominator_is_a_parse_error_at_the_denominator(text):
+    ring = RingDescriptor(Mode.POLYNOMIAL, 3, Coeff.RATIONALS)
+    with pytest.raises(ParseError) as err:
+        parse_element(ring, text)
+    assert err.value.position == text.index("/0") + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_products_match_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.rings import ring as sympy_ring
+
+    ring, _ = data.draw(rings())
+    terms = [data.draw(term_dicts(ring, max_terms=8)) for _ in range(2)]
+    domain = sympy.QQ if ring.coeff is Coeff.RATIONALS else sympy.ZZ
+    poly_ring, *_ = sympy_ring([f"a{i + 1}" for i in range(ring.nvars)], domain)
+    shift = 3  # clears the Laurent exponents, which are at least -3
+    shifted = [
+        poly_ring.from_dict(
+            {tuple(e + shift for e in exps): c for exps, c in t.items()}
+        )
+        for t in terms
+    ]
+    product = RingElement(ring, terms[0]) * RingElement(ring, terms[1])
+    want = {
+        tuple(e - 2 * shift for e in exps): Fraction(int(c.numerator), int(c.denominator))
+        if domain is sympy.QQ
+        else int(c)
+        for exps, c in (shifted[0] * shifted[1]).items()
+    }
+    assert product.terms == want

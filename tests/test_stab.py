@@ -401,6 +401,25 @@ def test_preimage_obstructed_on_mixed_transvection(ring3):
     assert doc["status"] == "OBSTRUCTED" and doc["obstruction"] == "1"
 
 
+def test_searches_on_one_ring_share_the_letter_images(ring3, monkeypatch):
+    from colstab import stab, tame
+
+    target = CongruenceMatrix(transvection(ring3, 2, 2, 1, ring3.c(1) * ring3.c(2)))
+    assert preimage(target).status == "OBSTRUCTED"
+    images = stab._generator_images(ring3)
+    assert stab._generator_images(RingDescriptor(ring3.mode, 3)) is images
+    assert len(images) == 24
+    evaluated = []
+    evaluate = tame.Letter.evaluate
+    monkeypatch.setattr(
+        tame.Letter, "evaluate", lambda letter, ring: evaluated.append(letter) or evaluate(letter, ring)
+    )
+    # An obstructed search evaluates no candidate word, so any letter
+    # evaluated here would be the alphabet being built again.
+    assert preimage(target).status == "OBSTRUCTED"
+    assert evaluated == []
+
+
 def test_candidate_for_mixed_transvection_has_nonunit_determinant(ring3):
     b = CongruenceMatrix(transvection(ring3, 2, 2, 1, ring3.c(1) * ring3.c(2)))
     cand, defect = build_preimage_candidate(b)
