@@ -386,6 +386,8 @@ class RingElement:
     def divide_exact(self, d: RingElement) -> RingElement:
         """Exact quotient by a product of c_i powers; NotDivisibleError otherwise."""
         d = self._coerce(d)
+        if d.is_zero:  # zero divides by every c_k, so the loop below would not end
+            raise NotDivisibleError("divisor is not a product of c_i powers")
         exps = [0] * self.ring.nvars
         rest = d
         for k in range(1, self.ring.nvars + 1):

@@ -226,6 +226,9 @@ def test_divide_examples():
 def test_divisor_must_be_c_product():
     with pytest.raises(NotDivisibleError):
         (POLY3.var(1) * 2).divide_exact(POLY3.const(2))
+    for ring in (POLY3, LAUR3):
+        with pytest.raises(NotDivisibleError):
+            ring.var(1).divide_exact(ring.zero)
 
 
 @pytest.mark.parametrize("ring", [POLY3, LAUR3], ids=["polynomial", "laurent"])
