@@ -7,9 +7,9 @@ from .matrix import (
     NotAUnitError,
     ShapeError,
     identity,
+    identity_plus,
     mat_from_document,
     mat_to_document,
-    matrix_unit,
     promote,
     transvection,
     zeros,

@@ -184,41 +184,30 @@ def _cofactor(rows, i, j):
 # -- builders -------------------------------------------------------------------
 
 
-def _entry(ring: RingDescriptor, value, localized: bool):
-    elem = ring.const(value) if isinstance(value, (int, Fraction)) else value
-    return LocalizedElement(elem, 0) if localized else elem
-
-
 def identity(ring: RingDescriptor, n: int, localized: bool = False) -> Mat:
-    return Mat(
-        [
-            [_entry(ring, 1 if i == j else 0, localized) for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    m = identity_plus(ring, n, {})
+    return m.map(lambda x: LocalizedElement(x, 0)) if localized else m
 
 
-def zeros(ring: RingDescriptor, nrows: int, ncols: int, localized: bool = False) -> Mat:
-    return Mat([[_entry(ring, 0, localized) for _ in range(ncols)] for _ in range(nrows)])
+def zeros(ring: RingDescriptor, nrows: int, ncols: int) -> Mat:
+    return Mat([[ring.zero] * ncols for _ in range(nrows)])
 
 
-def matrix_unit(ring: RingDescriptor, n: int, i: int, j: int) -> Mat:
-    """n x n matrix with a single unit entry at row i, column j (1-based)."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("matrix unit index out of range")
-    return Mat(
-        [
-            [ring.const(1 if (r, c) == (i - 1, j - 1) else 0) for c in range(n)]
-            for r in range(n)
-        ]
-    )
+def identity_plus(ring: RingDescriptor, n: int, entries: dict) -> Mat:
+    """The n x n identity with each 1-based (i, j) entry increased by its value."""
+    rows = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+    for (i, j), value in entries.items():
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ShapeError(f"entry ({i}, {j}) outside a {n}x{n} matrix")
+        rows[i - 1][j - 1] = rows[i - 1][j - 1] + value
+    return Mat(rows)
 
 
 def transvection(ring: RingDescriptor, n: int, i: int, j: int, a: RingElement) -> Mat:
     """Identity plus a single off-diagonal entry a at (i, j)."""
     if i == j:
         raise ValueError("transvection indices must differ")
-    return identity(ring, n) + matrix_unit(ring, n, i, j).scale(a)
+    return identity_plus(ring, n, {(i, j): a})
 
 
 def promote(m: Mat, ring: RingDescriptor) -> Mat:

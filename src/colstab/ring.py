@@ -69,6 +69,10 @@ class ExponentRangeError(ColstabError):
         )
 
 
+class OutOfRangeError(ColstabError, ValueError):
+    """A variable count, variable index or decomposition depth outside its range."""
+
+
 class Mode(Enum):
     POLYNOMIAL = "polynomial"
     LAURENT = "laurent"
@@ -98,7 +102,7 @@ class RingDescriptor:
         if ring is not None:
             return ring
         if nvars < 1:
-            raise ValueError("nvars must be >= 1")
+            raise OutOfRangeError("nvars must be >= 1")
         ring = super().__new__(cls)
 
         def init(name, value):
@@ -158,7 +162,7 @@ class RingDescriptor:
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.nvars:
-            raise ValueError(f"variable index {i} outside 1..{self.nvars}")
+            raise OutOfRangeError(f"variable index {i} outside 1..{self.nvars}")
 
     # -- packed monomial keys ---------------------------------------------------
 
@@ -522,7 +526,7 @@ class CAdicDecomposition:
 def c_adic_decompose(g: RingElement, k: int, t: int) -> CAdicDecomposition:
     """Peel off t heads of g along powers of c_k; the division is exact by construction."""
     if t < 1:
-        raise ValueError("depth must be >= 1")
+        raise OutOfRangeError("depth must be >= 1")
     g.ring._check_index(k)
     heads = []
     current = g

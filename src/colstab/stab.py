@@ -74,8 +74,9 @@ def conjugator(ring: RingDescriptor) -> Mat:
 class StabMatrix:
     """A 3x3 matrix certified to fix the column and to have unit determinant.
 
-    Only ``check_stab`` and the group operations below construct one; both
-    properties are closed under products and inverses.
+    Built only by ``check_stab``, which checks both properties; by ``__mul__``
+    and ``inverse``, which preserve them; and by construction, for the identity
+    in ``eval_word`` and the tame generators ``gen_T`` and ``gen_S``.
     """
 
     mat: Mat
@@ -114,17 +115,13 @@ def reduce(a: StabMatrix) -> Mat:
 
     Every entry lies in the depth-one module (denominator exponent at most 1).
     """
-    ring = a.ring
-    c3 = ring.c(3)
-    diff = a.mat - identity(ring, 3)
+    m, c3 = a.mat, a.ring.c(3)
     rows = []
     for i in range(2):
-        ci = ring.c(i + 1)
+        ci = a.ring.c(i + 1)
         row = []
         for j in range(2):
-            base = ring.one if i == j else ring.zero
-            num = (base + diff[i, j]) * c3 - ci * diff[2, j]
-            entry = LocalizedElement(num, 1)
+            entry = LocalizedElement(m[i, j] * c3 - ci * m[2, j], 1)
             assert entry.denom_exp <= 1
             row.append(entry)
         rows.append(row)

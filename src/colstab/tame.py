@@ -2,8 +2,8 @@
 
 Two families generate the tame subgroup: row perturbations T(i, j, k; a) that
 cancel against the column, and embedded 2x2 one-parameter stabilizers
-S(i, j; a).  Parameters may be arbitrary ring elements; membership is
-certified on construction.
+S(i, j; a).  Parameters may be arbitrary ring elements; each generator is
+certified by construction, for every parameter.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .matrix import Mat, identity, matrix_unit
+from .matrix import Mat, ShapeError, identity, identity_plus
 from .ring import (
+    DescriptorMismatchError,
     Mode,
     NotDivisibleError,
     RingDescriptor,
@@ -22,8 +23,6 @@ from .ring import (
 from .stab import (
     ColstabError,
     StabMatrix,
-    annihilator_block,
-    check_stab,
     rho,
 )
 
@@ -89,45 +88,51 @@ class TameWord:
         return len(self.letters)
 
 
+def _param(ring: RingDescriptor, a) -> RingElement:
+    """An int or an element of ``ring``; anything else raises."""
+    if isinstance(a, int):
+        return ring.const(a)
+    if not isinstance(a, RingElement):
+        raise ShapeError(f"parameter must be a ring element, not {type(a).__name__}")
+    if a.ring is not ring:
+        raise DescriptorMismatchError("parameter lives in another ring")
+    return a
+
+
+def _block_entries(a: RingElement, i: int, j: int) -> dict:
+    """a times the square-zero block annihilating (c_i, c_j), at rows and columns i, j."""
+    ci, cj = a.ring.c(i), a.ring.c(j)
+    aci = a * ci
+    diagonal = aci * cj
+    return {(i, i): diagonal, (i, j): -(aci * ci), (j, i): a * cj * cj, (j, j): -diagonal}
+
+
 def gen_T(ring: RingDescriptor, i: int, j: int, k: int, a) -> StabMatrix:
-    """Row perturbation: identity plus a*c_k at (i, j) minus a*c_j at (i, k)."""
+    """Row perturbation: identity plus a*c_k at (i, j) minus a*c_j at (i, k).
+    Both entries sit off the diagonal of row i and cancel against the column."""
     if i in (j, k) or j >= k:
         raise ValueError("indices must satisfy i not in {j, k} and j < k")
     for idx in (i, j, k):
         if not 1 <= idx <= 3:
             raise ValueError("indices must lie in 1..3")
-    if isinstance(a, int):
-        a = ring.const(a)
-    m = (
-        identity(ring, 3)
-        + matrix_unit(ring, 3, i, j).scale(a * ring.c(k))
-        - matrix_unit(ring, 3, i, k).scale(a * ring.c(j))
+    a = _param(ring, a)
+    return StabMatrix(
+        identity_plus(ring, 3, {(i, j): a * ring.c(k), (i, k): -(a * ring.c(j))})
     )
-    return check_stab(m)
 
 
 def gen_S(ring: RingDescriptor, i: int, j: int, a) -> StabMatrix:
-    """Embedded one-parameter 2x2 stabilizer acting on rows and columns i, j."""
+    """Embedded one-parameter 2x2 stabilizer acting on rows and columns i, j:
+    the identity plus a square-zero block that annihilates (c_i, c_j)."""
     if not (1 <= i < j <= 3):
         raise ValueError("indices must satisfy 1 <= i < j <= 3")
-    if isinstance(a, int):
-        a = ring.const(a)
-    ci, cj = ring.c(i), ring.c(j)
-    m = (
-        identity(ring, 3)
-        + matrix_unit(ring, 3, i, i).scale(a * ci * cj)
-        - matrix_unit(ring, 3, i, j).scale(a * ci * ci)
-        + matrix_unit(ring, 3, j, i).scale(a * cj * cj)
-        - matrix_unit(ring, 3, j, j).scale(a * ci * cj)
-    )
-    return check_stab(m)
+    return StabMatrix(identity_plus(ring, 3, _block_entries(_param(ring, a), i, j)))
 
 
 def stab2(a: RingElement) -> Mat:
     """The 2x2 stabilizer of the column (c1, c2): identity plus a times the
     square-zero block."""
-    ring = a.ring
-    return identity(ring, 2) + annihilator_block(ring).scale(a)
+    return identity_plus(a.ring, 2, _block_entries(a, 1, 2))
 
 
 def stab2_param(m: Mat) -> RingElement:
@@ -156,7 +161,7 @@ def stab2_param(m: Mat) -> RingElement:
 def eval_word(ring: RingDescriptor, word: TameWord) -> StabMatrix:
     """The product of the word's letters; each letter is certified, so the
     product is too."""
-    result = check_stab(identity(ring, 3))
+    result = StabMatrix(identity(ring, 3))
     for letter in word.letters:
         result = result * letter.evaluate(ring)
     return result

@@ -222,6 +222,42 @@ def test_verify_rejects_vacuous_runs(capsys, trials):
     assert payload["error"] == "domain"
     assert "ok" not in payload
 
+_TWO_VARIABLE_IDENTITY = json.dumps(
+    {
+        "ring": {"mode": "polynomial", "nvars": 2},
+        "entries": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    }
+)
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--nvars", "0", "--expr", "1"],
+        ["decompose", "--var", "5", "--expr", "1"],
+        ["decompose", "--depth", "0", "--expr", "1"],
+        ["verify", "--nvars", "0"],
+        ["verify", "--nvars", "2"],
+        ["tame-sample", "--nvars", "2"],
+    ]
+    + [
+        [name, "--inline", _TWO_VARIABLE_IDENTITY]
+        for name in ("check-stab", "residues", "rho", "reduce")
+    ],
+    ids=[
+        "decompose-nvars-0", "decompose-var-5", "decompose-depth-0",
+        "verify-nvars-0", "verify-nvars-2", "tame-sample-nvars-2",
+        "check-stab-doc-nvars-2", "residues-doc-nvars-2", "rho-doc-nvars-2",
+        "reduce-doc-nvars-2",
+    ],
+)
+def test_out_of_range_ring_arguments_exit_3_with_json(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    payload = json.loads(out)
+    assert code == 3
+    assert payload["subcommand"] == argv[0]
+    assert payload["error"] == "domain"
+    assert set(payload) == {"subcommand", "error", "message"}
+
 @pytest.mark.parametrize(
     "error",
     [NotInIdealError("x"), DescriptorMismatchError("x"), RelationFailedError("x")],

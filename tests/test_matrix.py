@@ -4,6 +4,7 @@ import random
 import pytest
 
 from colstab import (
+    DescriptorMismatchError,
     LocalizedElement,
     Mat,
     Mode,
@@ -14,9 +15,9 @@ from colstab import (
     conjugator,
     gen_T,
     identity,
+    identity_plus,
     mat_from_document,
     mat_to_document,
-    matrix_unit,
     transvection,
     zeros,
 )
@@ -63,12 +64,21 @@ def test_transvections_add_parameters(ring3):
         transvection(ring3, 3, 2, 2, a)
 
 
-def test_matrix_unit_has_single_entry(ring3):
-    e31 = matrix_unit(ring3, 3, 3, 1)
+def test_identity_plus_adds_entries(ring3):
+    a = ring3.parse("a1 - 2")
+    m = identity_plus(ring3, 3, {(3, 1): a, (2, 2): 4})
     for i in range(3):
         for j in range(3):
-            expected = ring3.one if (i, j) == (2, 0) else ring3.zero
-            assert e31[i, j] == expected
+            expected = {(2, 0): a, (1, 1): ring3.const(5)}.get(
+                (i, j), ring3.one if i == j else ring3.zero
+            )
+            assert m[i, j] == expected
+    assert identity_plus(ring3, 2, {}) == identity(ring3, 2)
+    for outside in ((0, 1), (1, 4), (4, 4)):
+        with pytest.raises(ShapeError):
+            identity_plus(ring3, 3, {outside: a})
+    with pytest.raises(DescriptorMismatchError):
+        identity_plus(ring3, 3, {(1, 2): POLY2.one})
 
 
 def test_conjugator_determinant(ring3):

@@ -1,7 +1,11 @@
+import ast
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+import colstab
 from colstab import (
     ColstabError,
     CongruenceMatrix,
@@ -23,9 +27,9 @@ from colstab import (
     gen_S,
     gen_T,
     identity,
+    identity_plus,
     in_H,
     in_scheme,
-    matrix_unit,
     preimage,
     r_decompose,
     reduce,
@@ -40,6 +44,7 @@ from colstab.stab import (
     CandidateSplits,
     ResidueQuadruple,
     SearchBudget,
+    StabMatrix,
     candidate_from_splits,
     matrix_from_splits,
 )
@@ -65,6 +70,32 @@ def test_check_stab_accepts_row_perturbations(ring3):
         check_stab(gen_T(ring3, 3, 1, 2, a).mat)
 
 
+def _stab_matrix_construction_sites():
+    """Names of the functions in the package source that call StabMatrix(...)."""
+    sites = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "StabMatrix":
+                sites.add(enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path in sorted(Path(colstab.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return sites
+
+
+def test_stab_matrix_is_built_only_where_its_docstring_says():
+    named = set(re.findall(r"``(\w+)``", StabMatrix.__doc__))
+    assert named == {"check_stab", "__mul__", "inverse", "eval_word", "gen_T", "gen_S"}
+    assert _stab_matrix_construction_sites() == named
+
+
 def test_check_stab_accepts_identity(ring3):
     assert check_stab(identity(ring3, 3)).mat == identity(ring3, 3)
 
@@ -77,11 +108,7 @@ def test_check_stab_reports_defect(ring3):
 
 def test_check_stab_requires_unit_determinant(ring3):
     c1, c2 = ring3.c(1), ring3.c(2)
-    m = (
-        identity(ring3, 3)
-        + matrix_unit(ring3, 3, 1, 1).scale(c2 * c2)
-        - matrix_unit(ring3, 3, 1, 2).scale(c1 * c2)
-    )
+    m = identity_plus(ring3, 3, {(1, 1): c2 * c2, (1, 2): -(c1 * c2)})
     assert m.apply_column(column(ring3)) == column(ring3)
     with pytest.raises(NotAUnitError) as err:
         check_stab(m)
@@ -202,8 +229,9 @@ def test_residues_of_row_perturbations(ring3):
 def test_block_sandwich_oracles(ring3):
     x = annihilator_block(ring3)
     c1, c2 = ring3.c(1), ring3.c(2)
-    e12 = identity(ring3, 2) - identity(ring3, 2) + matrix_unit(ring3, 2, 1, 2)
-    e21 = matrix_unit(ring3, 2, 2, 1)
+    one, zero = ring3.one, ring3.zero
+    e12 = Mat([[zero, one], [zero, zero]])
+    e21 = Mat([[zero, zero], [one, zero]])
     assert x * e12 * x == x.scale(c2 * c2)
     assert x * e21 * x == x.scale(-(c1 * c1))
 
@@ -462,10 +490,13 @@ def test_kernel_examples(ring3):
 
     c2, c3 = ring3.c(2), ring3.c(3)
     t = gen_T(ring3, 1, 2, 3, c3)
-    expected = (
-        identity(ring3, 3)
-        + matrix_unit(ring3, 3, 1, 2).scale(c3 * c3)
-        - matrix_unit(ring3, 3, 1, 3).scale(c2 * c3)
+    one, zero = ring3.one, ring3.zero
+    expected = Mat(
+        [
+            [one, c3 * c3, -(c2 * c3)],
+            [zero, one, zero],
+            [zero, zero, one],
+        ]
     )
     assert t.mat == expected
     assert in_H(t)

@@ -3,10 +3,15 @@ import random
 import pytest
 
 from colstab import (
+    Coeff,
+    DescriptorMismatchError,
     Letter,
+    LocalizedElement,
     Mat,
     Mode,
     NotInStab2Error,
+    RingDescriptor,
+    ShapeError,
     TameWord,
     check_stab,
     cohn_matrix,
@@ -15,7 +20,6 @@ from colstab import (
     gen_T,
     identity,
     in_scheme,
-    matrix_unit,
     preimage,
     prop2_check,
     rho,
@@ -24,8 +28,9 @@ from colstab import (
     stab2_param,
 )
 from colstab.stab import CongruenceMatrix
+from colstab.tame import S_INDICES, T_INDICES
 
-from conftest import LAUR2, POLY2, POLY3
+from conftest import LAUR2, LAUR3, POLY2, POLY3
 
 
 def _random_element(rng, ring, max_terms=2, bound=3):
@@ -42,10 +47,13 @@ def _random_element(rng, ring, max_terms=2, bound=3):
 
 def test_gen_T_frozen_example(ring3):
     t = gen_T(ring3, 3, 1, 2, ring3.const(-1))
-    expected = (
-        identity(ring3, 3)
-        - matrix_unit(ring3, 3, 3, 1).scale(ring3.c(2))
-        + matrix_unit(ring3, 3, 3, 2).scale(ring3.c(1))
+    one, zero = ring3.one, ring3.zero
+    expected = Mat(
+        [
+            [one, zero, zero],
+            [zero, one, zero],
+            [-ring3.c(2), ring3.c(1), one],
+        ]
     )
     assert t.mat == expected
     assert t.mat.det() == ring3.one
@@ -73,14 +81,61 @@ def test_gen_S_one_parameter_group(ring3):
         gen_S(ring3, 2, 1, a)
 
 
+def _unit(ring, i, j):
+    one, zero = ring.one, ring.zero
+    return Mat([[one if (r, s) == (i, j) else zero for s in (1, 2, 3)] for r in (1, 2, 3)])
+
+
 def test_generators_certify_with_ring_parameters(ring3):
+    """Every letter equals its defining sum of matrix units, and check_stab
+    certifies it unchanged."""
+    one = _unit(ring3, 1, 1) + _unit(ring3, 2, 2) + _unit(ring3, 3, 3)
+    c = {k: ring3.c(k) for k in (1, 2, 3)}
     rng = random.Random(7)
-    for _ in range(20):
-        a = _random_element(rng, ring3)
-        check_stab(gen_T(ring3, 2, 1, 3, a).mat)
-        check_stab(gen_S(ring3, 1, 3, a).mat)
-        assert gen_T(ring3, 3, 1, 2, a).mat.det() == ring3.one
-        assert gen_S(ring3, 2, 3, a).mat.det() == ring3.one
+    params = [0, -1] + [_random_element(rng, ring3) for _ in range(8)]
+    for a in params:
+        r = ring3.const(a) if isinstance(a, int) else a
+        for i, j, k in T_INDICES:
+            t = gen_T(ring3, i, j, k, a)
+            assert t.mat == (
+                one
+                + _unit(ring3, i, j).scale(r * c[k])
+                - _unit(ring3, i, k).scale(r * c[j])
+            )
+            assert check_stab(t.mat).mat == t.mat
+            assert t.mat.det() == ring3.one
+        for i, j in S_INDICES:
+            s = gen_S(ring3, i, j, a)
+            assert s.mat == (
+                one
+                + _unit(ring3, i, i).scale(r * c[i] * c[j])
+                - _unit(ring3, i, j).scale(r * c[i] * c[i])
+                + _unit(ring3, j, i).scale(r * c[j] * c[j])
+                - _unit(ring3, j, j).scale(r * c[i] * c[j])
+            )
+            assert check_stab(s.mat).mat == s.mat
+            assert s.mat.det() == ring3.one
+
+
+@pytest.mark.parametrize(
+    "param, error",
+    [
+        (LocalizedElement(POLY3.one, 1), ShapeError),
+        (LocalizedElement(LAUR3.var(1), 0), ShapeError),
+        (1.5, ShapeError),
+        ("a1", ShapeError),
+        (POLY2.var(1), DescriptorMismatchError),
+        (RingDescriptor(Mode.POLYNOMIAL, 3, Coeff.RATIONALS).one, DescriptorMismatchError),
+    ],
+    ids=["localized", "localized-order-0", "float", "string", "two-variable", "rational"],
+)
+def test_generators_reject_parameters_outside_the_ring(ring3, param, error):
+    for build in (
+        lambda: gen_T(ring3, 1, 2, 3, param),
+        lambda: gen_S(ring3, 1, 3, param),
+    ):
+        with pytest.raises(error):
+            build()
 
 
 # -- the two-variable stabilizer -------------------------------------------------------
@@ -130,6 +185,7 @@ def test_stab2_group_isomorphism_random(ring2):
 
 def test_empty_word_evaluates_to_identity(ring3):
     assert eval_word(ring3, sample_tame(ring3, 5, 0)).mat == identity(ring3, 3)
+    assert eval_word(ring3, TameWord(())) == check_stab(identity(ring3, 3))
 
 
 def test_sampler_is_deterministic(ring3):
