@@ -40,7 +40,6 @@ from .stab import (
     PreimageReport,
     RelationFailedError,
     ResidueQuadruple,
-    SearchBudget,
     StabMatrix,
     annihilator_block,
     build_preimage_candidate,

@@ -2,8 +2,9 @@
 
 Machine-readable JSON goes to standard output; a short human summary goes to
 standard error.  Exit codes: 0 success or verified, 1 property violation or
-obstructed preimage, 2 parse error, 3 domain error (any other library error,
-or an unreadable input file).
+obstructed preimage, 2 parse error (a malformed document or expression, or a
+command line the argument parser rejects), 3 domain error (any other library
+error, or an unreadable input file).
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from .ring import (
 )
 from .stab import (
     CongruenceMatrix,
-    DEFAULT_BUDGET,
     NotStabilizingError,
-    SearchBudget,
     check_stab,
     preimage,
     reduce,
@@ -64,10 +63,6 @@ def _emit(doc: dict) -> None:
 
 def _ring_from_flags(args) -> RingDescriptor:
     return RingDescriptor(Mode(args.mode), args.nvars, Coeff(args.coeff))
-
-
-def _budget(args) -> SearchBudget:
-    return DEFAULT_BUDGET if args.budget is None else SearchBudget(args.budget)
 
 
 def _load_document(args) -> dict:
@@ -175,11 +170,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_preimage(args) -> int:
-    budget = _budget(args)
     m = _load_matrix(args)
     if m.ring.nvars < 3:
         m = promote(m, RingDescriptor(m.ring.mode, 3, m.ring.coeff))
-    report = preimage(CongruenceMatrix(m), budget)
+    report = preimage(CongruenceMatrix(m))
     doc = {"subcommand": "preimage"}
     doc.update(report.to_document())
     _emit(doc)
@@ -210,12 +204,11 @@ def cmd_tame_sample(args) -> int:
 def cmd_verify(args) -> int:
     modes = list(Mode) if args.mode == "both" else [Mode(args.mode)]
     coeff = Coeff(args.coeff)
-    budget = _budget(args)
     all_ok = True
     blocks = []
     for mode in modes:
         ring = RingDescriptor(mode, args.nvars, coeff)
-        results = run_suite(args.suite, ring, args.trials, args.seed, budget)
+        results = run_suite(args.suite, ring, args.trials, args.seed)
         for result in results:
             _note(
                 f"{mode.value}/{result.name}: {result.passed} passed, "
@@ -254,6 +247,18 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """A command line the argument parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ``_UsageError`` where argparse would print usage and exit, so
+    that ``main`` answers with a JSON body; subparsers inherit the class."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _add_ring_flags(parser):
     parser.add_argument(
         "--mode", choices=["polynomial", "laurent"], default="polynomial"
@@ -269,7 +274,7 @@ def _add_input_flags(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="colstab",
         description="exact column-stabilizer computations over polynomial and "
         "Laurent polynomial rings",
@@ -301,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preimage", help="lift a 2x2 scheme matrix to a stabilizer")
     _add_input_flags(p)
-    p.add_argument("--budget", type=int, help="search word length, 2 or more")
     p.set_defaults(handler=cmd_preimage)
 
     p = sub.add_parser("tame-sample", help="sample a word in the tame generators")
@@ -322,15 +326,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--nvars", type=int, default=3)
     p.add_argument("--coeff", choices=["int", "rat"], default="int")
-    p.add_argument("--budget", type=int, help="preimage search word length, 2 or more")
     p.set_defaults(handler=cmd_verify)
 
+    parser.subcommands = frozenset(sub.choices)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        # The top-level parser has no options besides --help, so a named
+        # subcommand is the first argument.
+        name = argv[0] if argv and argv[0] in parser.subcommands else None
+        _emit({"subcommand": name, "error": "parse", "message": str(exc)})
+        _note(f"usage error: {exc}; see colstab --help")
+        return EXIT_PARSE
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -11,7 +11,6 @@ vanishing determinant defect lifts back to an explicit 3x3 stabilizer.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -416,20 +415,15 @@ def build_preimage_candidate(b: CongruenceMatrix) -> tuple[Mat, RingElement]:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Bound on the length of the tame words the transvection-preimage search
-    tries; the meet-in-the-middle scan covers words of length up to
-    ``word_length`` rounded down to an even number."""
+    """Inert stand-in, accepted and ignored by ``preimage``.
+
+    The correcting-transvection stage is decided exactly, so there is no
+    search left to bound.  The class stays only because the ``preimage_lift``
+    benchmark workload still constructs it; it goes once that workload no
+    longer does.
+    """
 
     word_length: int = 4
-
-    def __post_init__(self):
-        if self.word_length < 2:
-            raise ColstabError(
-                f"search word length must be at least 2, got {self.word_length}"
-            )
-
-
-DEFAULT_BUDGET = SearchBudget()
 
 
 @dataclass(frozen=True)
@@ -461,73 +455,20 @@ def _specialize_mat(m: Mat, k: int) -> Mat:
     return m.map(lambda x: x.specialize(k))
 
 
-# The search's letters carry the nonzero constant parameters -2..2.
-_SEARCH_COEFF_BOUND = 2
-
-
-@functools.cache
-def _generator_images(ring: RingDescriptor) -> tuple:
-    """Images of single tame letters with constant parameters, with witnesses.
-
-    Built once per ring: descriptors are interned, so the cache holds one
-    alphabet per ring in use and every search on that ring shares it.
-    """
-    from . import tame  # deferred import; tame builds on this module
-
-    images = []
-    for value in range(-_SEARCH_COEFF_BOUND, _SEARCH_COEFF_BOUND + 1):
-        if value == 0:
-            continue
-        a = ring.const(value)
-        letters = [tame.Letter("T", idx, a) for idx in tame.T_INDICES]
-        letters += [tame.Letter("S", idx, a) for idx in tame.S_INDICES]
-        images += [(rho(letter.evaluate(ring)).mat, letter) for letter in letters]
-    return tuple(images)
-
-
-def _search_transvection_preimage(
-    ring: RingDescriptor, nu: RingElement, budget: SearchBudget
-) -> Optional[StabMatrix]:
-    """Bounded search for a stabilizer whose image is the lower transvection by nu*c1*c2.
-
-    Scans tame words up to the budgeted length meet-in-the-middle: products
-    of up to half that many letters on each side are keyed by their image.
-    """
-    from . import tame
-
-    target = transvection(ring, 2, 2, 1, nu * ring.c(1) * ring.c(2))
-    images = _generator_images(ring)
-    seen: dict[Mat, tuple] = {identity(ring, 2): ()}
-    frontier = [(identity(ring, 2), ())]
-    for _ in range(budget.word_length // 2):
-        new_frontier = []
-        for mat, word in frontier:
-            for img, letter in images:
-                prod = mat * img
-                if prod not in seen:
-                    seen[prod] = word + (letter,)
-                    new_frontier.append((prod, word + (letter,)))
-        frontier = new_frontier
-    for mat, word in seen.items():
-        need = mat.inverse() * target
-        other = seen.get(need)
-        if other is None:
-            continue
-        candidate_word = tame.TameWord(word + other)
-        lifted = tame.eval_word(ring, candidate_word)
-        if rho(lifted).mat == target:
-            return lifted
-    return None
-
-
-def preimage(b: CongruenceMatrix, budget: SearchBudget = DEFAULT_BUDGET) -> PreimageReport:
+def preimage(
+    b: CongruenceMatrix, budget: Optional[SearchBudget] = None
+) -> PreimageReport:
     """Construct a certified stabilizer mapping onto a scheme matrix.
 
     Factors the input through its variable-2 specialization, corrects the
-    mixed lower-left coordinate by a transvection, lifts both factors
-    explicitly, and searches for a preimage of the correcting transvection
-    when it is nontrivial.  Reports the residual coordinate as an obstruction
-    when the bounded search fails.
+    mixed lower-left coordinate by the transvection ``t21(mu*c1*c2)``, and
+    lifts both factors explicitly.  The correcting transvection has a tame
+    preimage exactly when mu vanishes at the base point: then it is
+    ``S(1,3; l1) * S(2,3; -l2)`` with ``(l1, l2)`` the split of mu along
+    (c1, c2).  Otherwise no tame word maps onto it, since every tame letter
+    maps to a transvection whose lower entry lies in I = (c1^2, c2^2), while
+    ``mu*c1*c2`` is ``mu(base)*c1*c2`` modulo I; the report then carries mu
+    as the obstruction.
     """
     ring = b.ring
     if ring.nvars < 3:
@@ -547,15 +488,15 @@ def preimage(b: CongruenceMatrix, budget: SearchBudget = DEFAULT_BUDGET) -> Prei
     assert defect2.is_zero
     second = check_stab(lift_corr)
 
-    if mu.is_zero:
-        result = first * second
-    else:
-        lifted_t = _search_transvection_preimage(ring, -mu, budget)
-        if lifted_t is None:
-            return PreimageReport(
-                status="OBSTRUCTED", stage="transvection-preimage", obstruction=mu
-            )
-        result = first * second * lifted_t.inverse()
+    if not in_delta(mu, 1):
+        return PreimageReport(
+            status="OBSTRUCTED", stage="transvection-preimage", obstruction=mu
+        )
+    from .tame import gen_S  # deferred import; tame builds on this module
+
+    # mu = 0 splits as (0, 0), whose letters are the identity.
+    l1, l2 = delta_split_linear(mu)
+    result = first * second * gen_S(ring, 1, 3, l1) * gen_S(ring, 2, 3, -l2)
 
     image = rho(result)
     if image.mat != b.mat:

@@ -186,6 +186,8 @@ def sample_tame(
     parameters monomials of total degree at most 2 with bounded coefficients."""
     if length < 0:
         raise ColstabError(f"word length must be at least 0, got {length}")
+    if coeff_bound < 0:
+        raise ColstabError(f"coefficient bound must be at least 0, got {coeff_bound}")
     rng = random.Random(seed)
     letters = []
     for _ in range(length):

@@ -1,9 +1,9 @@
 """Randomized verification suites, run by ``colstab verify`` and by the
 acceptance tests.
 
-Each suite takes a ring, a trial count, a seed and a preimage search budget,
-draws its inputs from one seeded stream, and returns one pass/fail tally per
-property it checks.  All comparisons are exact.
+Each suite takes a ring, a trial count and a seed, draws its inputs from one
+seeded stream, and returns one pass/fail tally per property it checks.  All
+comparisons are exact.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .ring import (
 from .stab import (
     CandidateSplits,
     CongruenceMatrix,
-    DEFAULT_BUDGET,
     ResidueQuadruple,
     annihilator_block,
     build_preimage_candidate,
@@ -93,7 +92,7 @@ def _random_c_divisor(rng, ring):
     return d
 
 
-def suite_decomposition(ring, trials, seed, budget=DEFAULT_BUDGET):
+def suite_decomposition(ring, trials, seed):
     rng = random.Random(seed)
     results = {
         "codec-round-trip": [0, 0],
@@ -134,7 +133,7 @@ def suite_decomposition(ring, trials, seed, budget=DEFAULT_BUDGET):
     return [CheckResult(name, p, f) for name, (p, f) in results.items()]
 
 
-def suite_stab2(ring, trials, seed, budget=DEFAULT_BUDGET):
+def suite_stab2(ring, trials, seed):
     rng = random.Random(seed)
     col = [ring.c(1), ring.c(2)]
     fixes, adds, shapes = [0, 0], [0, 0], [0, 0]
@@ -167,7 +166,7 @@ def _sample_stab(rng, ring, max_len=8):
     return eval_word(ring, sample_tame(ring, rng.getrandbits(32), rng.randint(0, max_len)))
 
 
-def suite_relations(ring, trials, seed, budget=DEFAULT_BUDGET):
+def suite_relations(ring, trials, seed):
     rng = random.Random(seed)
     block = annihilator_block(ring)
     relations, agree = [0, 0], [0, 0]
@@ -193,7 +192,7 @@ def suite_relations(ring, trials, seed, budget=DEFAULT_BUDGET):
     ]
 
 
-def suite_homomorphism(ring, trials, seed, budget=DEFAULT_BUDGET):
+def suite_homomorphism(ring, trials, seed):
     rng = random.Random(seed)
     mult, unit, inv, comp = [0, 0], [0, 0], [0, 0], [0, 0]
     unit[0 if rho(check_stab(identity(ring, 3))).mat == identity(ring, 2) else 1] += 1
@@ -217,7 +216,7 @@ def _random_splits(rng, ring):
     return CandidateSplits(*[_random_element(rng, ring, span=2) for _ in range(9)])
 
 
-def suite_determinant(ring, trials, seed, budget=DEFAULT_BUDGET):
+def suite_determinant(ring, trials, seed):
     rng = random.Random(seed)
     ok, bad, nonzero_defects = 0, 0, 0
     for _ in range(trials):
@@ -258,7 +257,7 @@ def _random_scheme_zero_defect(rng, ring):
     return Mat([[m1, alpha], [ring.zero, m2]])
 
 
-def suite_preimage(ring, trials, seed, budget=DEFAULT_BUDGET):
+def suite_preimage(ring, trials, seed):
     rng = random.Random(seed)
     round_trips, successes = [0, 0], [0, 0]
     for _ in range(trials):
@@ -270,7 +269,7 @@ def suite_preimage(ring, trials, seed, budget=DEFAULT_BUDGET):
             and rho(check_stab(cand)).mat == b.mat
         )
         round_trips[0 if ok else 1] += 1
-        report = preimage(b, budget)
+        report = preimage(b)
         ok = report.ok and rho(report.preimage).mat == b.mat
         successes[0 if ok else 1] += 1
     results = [
@@ -279,7 +278,7 @@ def suite_preimage(ring, trials, seed, budget=DEFAULT_BUDGET):
     ]
     if ring.mode is Mode.POLYNOMIAL:
         cohn = CongruenceMatrix(cohn_matrix(ring))
-        report = preimage(cohn, budget)
+        report = preimage(cohn)
         ok = (
             report.ok
             and report.preimage.mat.det() == ring.one
@@ -287,7 +286,7 @@ def suite_preimage(ring, trials, seed, budget=DEFAULT_BUDGET):
         )
         results.append(CheckResult("cohn-preimage", 1 if ok else 0, 0 if ok else 1))
     blocked = transvection(ring, 2, 2, 1, ring.c(1) * ring.c(2))
-    report = preimage(CongruenceMatrix(blocked), budget)
+    report = preimage(CongruenceMatrix(blocked))
     ok = (
         report.status == "OBSTRUCTED"
         and report.stage == "transvection-preimage"
@@ -317,7 +316,7 @@ def _sample_kernel_member(rng, ring, max_len=4):
     return result
 
 
-def suite_kernel(ring, trials, seed, budget=DEFAULT_BUDGET):
+def suite_kernel(ring, trials, seed):
     rng = random.Random(seed)
     member, trivial = [0, 0], [0, 0]
     for _ in range(trials):
@@ -330,7 +329,7 @@ def suite_kernel(ring, trials, seed, budget=DEFAULT_BUDGET):
     ]
 
 
-def suite_triangular(ring, trials, seed, budget=DEFAULT_BUDGET):
+def suite_triangular(ring, trials, seed):
     rng = random.Random(seed)
     count = [0, 0]
     tokens = [("T", idx) for idx in T_INDICES] + [("S", idx) for idx in S_INDICES]
@@ -354,13 +353,13 @@ SUITES = {
 }
 
 
-def run_suite(name, ring, trials, seed, budget=DEFAULT_BUDGET):
+def run_suite(name, ring, trials, seed):
     """Run one suite, or every suite in order for ``"all"``."""
     if trials < 1:
         raise ColstabError(f"trials must be at least 1, got {trials}")
     if name == "all":
         results = []
         for key in SUITES:
-            results.extend(SUITES[key](ring, trials, seed, budget))
+            results.extend(SUITES[key](ring, trials, seed))
         return results
-    return SUITES[name](ring, trials, seed, budget)
+    return SUITES[name](ring, trials, seed)

@@ -128,18 +128,53 @@ def test_preimage_rejects_non_scheme_input(capsys):
     code, out, _ = run_cli(capsys, "preimage", "--inline", doc)
     assert code == 3
 
-@pytest.mark.parametrize("budget", ["0", "-3"])
-def test_budget_below_two_is_a_domain_error(capsys, budget):
-    doc = _doc(cohn_matrix(POLY2))
-    for argv in (
-        ["preimage", "--inline", doc, "--budget", budget],
-        ["verify", "--suite", "preimage", "--trials", "1", "--budget", budget],
-    ):
-        code, out, _ = run_cli(capsys, *argv)
-        payload = json.loads(out)
-        assert code == 3
-        assert payload["error"] == "domain"
-        assert "at least 2" in payload["message"]
+_DOC = _doc(cohn_matrix(POLY2))
+_SUBCOMMANDS = [
+    ("check-stab", ["--inline", _DOC]),
+    ("residues", ["--inline", _DOC]),
+    ("rho", ["--inline", _DOC]),
+    ("reduce", ["--inline", _DOC]),
+    ("decompose", ["--expr", "1"]),
+    ("preimage", ["--inline", _DOC]),
+    ("tame-sample", []),
+    ("verify", ["--trials", "1"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, subcommand, code",
+    [([name, *rest, "--budget", "4"], name, 2) for name, rest in _SUBCOMMANDS]
+    + [([name, *rest, "--bogus"], name, 2) for name, rest in _SUBCOMMANDS]
+    + [
+        (["decompose", "--var", "x", "--expr", "1"], "decompose", 2),
+        (["decompose", "--nvars", "1.5", "--expr", "1"], "decompose", 2),
+        (["tame-sample", "--length", "abc"], "tame-sample", 2),
+        (["tame-sample", "--coeff-bound", "two"], "tame-sample", 2),
+        (["verify", "--trials", "abc"], "verify", 2),
+        (["verify", "--suite", "nope"], "verify", 2),
+        (["decompose"], "decompose", 2),
+        (["decompose", "--var", "3"], "decompose", 2),
+        (["tame-sample", "--coeff-bound", "-1"], "tame-sample", 3),
+        (["check-stab", "--input", "a", "--inline", "b"], "check-stab", 2),
+        ([], None, 2),
+        (["frobnicate"], None, 2),
+    ],
+)
+def test_malformed_command_lines_exit_with_json(capsys, argv, subcommand, code):
+    exit_code, out, _ = run_cli(capsys, *argv)
+    assert exit_code == code
+    payload = json.loads(out)
+    assert payload["subcommand"] == subcommand
+    assert payload["error"] == ("parse" if code == 2 else "domain")
+    assert set(payload) == {"subcommand", "error", "message"}
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert "usage" in capsys.readouterr().out
 
 def test_decompose(capsys):
     code, out, _ = run_cli(
@@ -238,6 +273,7 @@ _TWO_VARIABLE_IDENTITY = json.dumps(
         ["verify", "--nvars", "0"],
         ["verify", "--nvars", "2"],
         ["tame-sample", "--nvars", "2"],
+        ["tame-sample", "--coeff-bound", "-1"],
     ]
     + [
         [name, "--inline", _TWO_VARIABLE_IDENTITY]
@@ -246,6 +282,7 @@ _TWO_VARIABLE_IDENTITY = json.dumps(
     ids=[
         "decompose-nvars-0", "decompose-var-5", "decompose-depth-0",
         "verify-nvars-0", "verify-nvars-2", "tame-sample-nvars-2",
+        "tame-sample-coeff-bound-negative",
         "check-stab-doc-nvars-2", "residues-doc-nvars-2", "rho-doc-nvars-2",
         "reduce-doc-nvars-2",
     ],

@@ -4,10 +4,10 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import colstab
 from colstab import (
-    ColstabError,
     CongruenceMatrix,
     LocalizedElement,
     Mat,
@@ -15,9 +15,12 @@ from colstab import (
     NotAUnitError,
     NotInSchemeError,
     NotStabilizingError,
+    Letter,
     RingDescriptor,
+    RingElement,
     annihilator_block,
     build_preimage_candidate,
+    c_adic_decompose,
     check_stab,
     cohn_matrix,
     column,
@@ -29,6 +32,7 @@ from colstab import (
     identity,
     identity_plus,
     in_H,
+    in_delta,
     in_scheme,
     preimage,
     r_decompose,
@@ -49,7 +53,10 @@ from colstab.stab import (
     matrix_from_splits,
 )
 
-from conftest import POLY3
+from colstab.tame import S_INDICES, T_INDICES
+from colstab.verify import _random_element
+
+from conftest import LAUR3, POLY3
 
 
 def _loc(m):
@@ -429,25 +436,6 @@ def test_preimage_obstructed_on_mixed_transvection(ring3):
     assert doc["status"] == "OBSTRUCTED" and doc["obstruction"] == "1"
 
 
-def test_searches_on_one_ring_share_the_letter_images(ring3, monkeypatch):
-    from colstab import stab, tame
-
-    target = CongruenceMatrix(transvection(ring3, 2, 2, 1, ring3.c(1) * ring3.c(2)))
-    assert preimage(target).status == "OBSTRUCTED"
-    images = stab._generator_images(ring3)
-    assert stab._generator_images(RingDescriptor(ring3.mode, 3)) is images
-    assert len(images) == 24
-    evaluated = []
-    evaluate = tame.Letter.evaluate
-    monkeypatch.setattr(
-        tame.Letter, "evaluate", lambda letter, ring: evaluated.append(letter) or evaluate(letter, ring)
-    )
-    # An obstructed search evaluates no candidate word, so any letter
-    # evaluated here would be the alphabet being built again.
-    assert preimage(target).status == "OBSTRUCTED"
-    assert evaluated == []
-
-
 def test_candidate_for_mixed_transvection_has_nonunit_determinant(ring3):
     b = CongruenceMatrix(transvection(ring3, 2, 2, 1, ring3.c(1) * ring3.c(2)))
     cand, defect = build_preimage_candidate(b)
@@ -465,21 +453,91 @@ def test_preimage_found_by_word_search(ring3):
     assert rho(report.preimage).mat == target
 
 
-def test_preimage_search_budget_can_be_tightened(ring3):
+def _in_I(g):
+    """Membership in I = (c1^2, c2^2): the heads of g along c1 and then c2,
+    to depth two each, are the coordinates of g modulo I on 1, c2, c1, c1*c2."""
+    heads = c_adic_decompose(g, 1, 2).heads
+    return all(h.is_zero for head in heads for h in c_adic_decompose(head, 2, 2).heads)
+
+
+def test_in_I_oracle(ring3):
     c1, c2 = ring3.c(1), ring3.c(2)
-    target = CongruenceMatrix(transvection(ring3, 2, 2, 1, 5 * c1 * c1 * c2))
-    report = preimage(target, SearchBudget(word_length=4))
-    assert report.ok
-    assert rho(report.preimage).mat == target.mat
-    report = preimage(target, SearchBudget(word_length=2))
-    assert report.status == "OBSTRUCTED"
-    assert report.stage == "transvection-preimage"
+    a = ring3.parse("a1*a2 - 3")
+    assert _in_I(a * c1 * c1 + c2 * c2) and _in_I(ring3.zero)
+    for g in (ring3.one, c1, c2, c1 * c2, c1 * c1 + c1 * c2):
+        assert not _in_I(g)
 
 
-@pytest.mark.parametrize("word_length", [1, 0, -3])
-def test_search_budget_rejects_words_shorter_than_two(word_length):
-    with pytest.raises(ColstabError):
-        SearchBudget(word_length=word_length)
+def test_letter_images_are_transvections(ring3):
+    """The image of every letter, with a-bar the parameter with variable 3
+    at its base point."""
+    c1, c2 = ring3.c(1), ring3.c(2)
+    images = {
+        ("T", (3, 1, 2)): lambda b: transvection(ring3, 2, 1, 2, -b),
+        ("T", (1, 2, 3)): lambda b: transvection(ring3, 2, 2, 1, b * c2 * c2),
+        ("T", (2, 1, 3)): lambda b: transvection(ring3, 2, 2, 1, -b * c1 * c1),
+        ("S", (1, 3)): lambda b: transvection(ring3, 2, 2, 1, b * c1 * c1 * c2),
+        ("S", (2, 3)): lambda b: transvection(ring3, 2, 2, 1, -b * c1 * c2 * c2),
+        ("S", (1, 2)): lambda b: identity(ring3, 2),
+    }
+    assert set(images) == {("T", i) for i in T_INDICES} | {("S", i) for i in S_INDICES}
+    rng = random.Random(17)
+    for (kind, indices), image in images.items():
+        for _ in range(12):
+            a = _random_element(rng, ring3, span=2) + _random_element(rng, ring3)
+            letter = Letter(kind, indices, a)
+            assert rho(letter.evaluate(ring3)).mat == image(a.specialize(3))
+
+
+def test_word_images_are_upper_unitriangular_modulo_I(ring3):
+    rng = random.Random(19)
+    for _ in range(30):
+        image = rho(_sample(ring3, rng.getrandbits(32))).mat
+        assert _in_I(image[1, 0])
+        assert _in_I(image[0, 0] - ring3.one) and _in_I(image[1, 1] - ring3.one)
+
+
+def _two_variable_elements(ring):
+    low = 0 if ring.mode is Mode.POLYNOMIAL else -2
+    exps = st.tuples(st.integers(low, 3), st.integers(low, 3), st.just(0))
+    coeffs = st.integers(-4, 4).filter(bool)
+    return st.dictionaries(exps, coeffs, max_size=4).map(lambda d: RingElement(ring, d))
+
+
+@pytest.mark.parametrize("ring", [POLY3, LAUR3], ids=["polynomial", "laurent"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mixed_transvection_lifts_iff_mu_vanishes_at_the_base_point(ring, data):
+    mu = data.draw(_two_variable_elements(ring))
+    target = CongruenceMatrix(transvection(ring, 2, 2, 1, mu * ring.c(1) * ring.c(2)))
+    report = preimage(target)
+    assert report.ok == in_delta(mu, 1)
+    if report.ok:
+        assert rho(report.preimage).mat == target.mat
+    else:
+        assert report.stage == "transvection-preimage"
+        assert report.obstruction.specialize_all() == mu.specialize_all()
+
+
+def test_every_tame_word_image_lifts(ring3):
+    rng = random.Random(29)
+    for _ in range(25):
+        target = rho(_sample(ring3, rng.getrandbits(32), length=rng.randint(1, 6)))
+        report = preimage(target)
+        assert report.ok
+        assert rho(report.preimage).mat == target.mat
+        assert report.preimage.mat.det().is_unit()
+
+
+def test_search_budget_is_inert(ring3):
+    c1, c2 = ring3.c(1), ring3.c(2)
+    targets = [
+        CongruenceMatrix(transvection(ring3, 2, 2, 1, c1 * c2)),
+        CongruenceMatrix(transvection(ring3, 2, 2, 1, 5 * c1 * c1 * c2)),
+        rho(_sample(ring3, 3)),
+    ]
+    for target in targets:
+        assert preimage(target, SearchBudget(2)).to_document() == preimage(target).to_document()
 
 
 # -- the kernel subgroup --------------------------------------------------------------
