@@ -2,9 +2,12 @@
 
 Machine-readable JSON goes to standard output; a short human summary goes to
 standard error.  Exit codes: 0 success or verified, 1 property violation or
-obstructed preimage, 2 parse error (a malformed document or expression, or a
-command line the argument parser rejects), 3 domain error (any other library
-error, or an unreadable input file).
+obstructed preimage, 2 parse error (a malformed document or expression, input
+that is not UTF-8, or a command line the argument parser rejects), 3 domain
+error (any other library error, or an unreadable input file), 4 internal
+error (any other exception, a fault of this program).  Every exit code but 0
+and 1 comes with ``{"subcommand", "error", "message"}`` on standard output,
+``error`` being "parse", "domain", "io" or "internal".
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import argparse
 import json
 import sys
 
+from .localize import LocalizedElement
 from .matrix import (
     Mat,
     NotAUnitError,
@@ -46,6 +50,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
+EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -66,13 +71,19 @@ def _ring_from_flags(args) -> RingDescriptor:
 
 
 def _load_document(args) -> dict:
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    elif args.inline:
+    """The document of ``--inline``, else the ``--input`` file or stdin as UTF-8."""
+    if args.inline:
         text = args.inline
     else:
-        text = sys.stdin.read()
+        if args.input:
+            with open(args.input, "rb") as handle:
+                data = handle.read()
+        else:
+            data = sys.stdin.buffer.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8: {exc.reason}", exc.start) from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -140,14 +151,16 @@ def cmd_rho(args) -> int:
 
 def cmd_reduce(args) -> int:
     a = check_stab(_load_matrix(args))
-    block = reduce(a)
+    numerator = reduce(a)
     _emit(
         {
             "subcommand": "reduce",
-            "entries": [[str(x) for x in row] for row in block.rows],
+            "entries": [
+                [str(LocalizedElement(x, 1)) for x in row] for row in numerator.rows
+            ],
         }
     )
-    _note(f"reduced block {block}")
+    _note(f"reduced block {numerator} / c3")
     return EXIT_OK
 
 
@@ -358,6 +371,11 @@ def main(argv=None) -> int:
         _emit({"subcommand": args.subcommand, "error": "io", "message": str(exc)})
         _note(f"input error: {exc}")
         return EXIT_DOMAIN
+    except Exception as exc:
+        message = f"{type(exc).__name__}: {exc}"
+        _emit({"subcommand": args.subcommand, "error": "internal", "message": message})
+        _note(f"internal error: {message}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -2,15 +2,14 @@
 
 A localized element stores value = num * c3^(-denom_exp) and keeps the pair
 normalized: either the denominator exponent is zero or c3 does not divide the
-numerator.  Arbitrary denominator exponents are supported so that intermediate
-matrix products are representable; membership in the depth-one module is
-asserted where the theory requires it.
+numerator.  Matrices never hold these: ``stab.reduce`` returns c3 times the
+reduced block, whose entries all lie in the depth-one module.  A localized
+element is the printed and decomposed form of one such entry over c3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ring import (
     ColstabError,
@@ -54,59 +53,8 @@ class LocalizedElement:
     def ring(self):
         return self.num.ring
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def _coerce(self, other):
-        if isinstance(other, LocalizedElement):
-            return other
-        if isinstance(other, RingElement):
-            return LocalizedElement(other, 0)
-        if isinstance(other, (int, Fraction)):
-            return LocalizedElement(self.ring.const(other), 0)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        e = max(self.denom_exp, other.denom_exp)
-        c3 = self.ring.c(PIVOT)
-        num = (
-            self.num * c3 ** (e - self.denom_exp)
-            + other.num * c3 ** (e - other.denom_exp)
-        )
-        return LocalizedElement(num, e)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LocalizedElement(-self.num, self.denom_exp)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return LocalizedElement(self.num * other.num, self.denom_exp + other.denom_exp)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, LocalizedElement):
             return NotImplemented
         return self.denom_exp == other.denom_exp and self.num == other.num
 
@@ -115,9 +63,6 @@ class LocalizedElement:
             self._hash = hash((self.num, self.denom_exp))
         return self._hash
 
-    def __bool__(self):
-        return not self.num.is_zero
-
     def __str__(self):
         if self.denom_exp == 0:
             return str(self.num)
@@ -125,29 +70,6 @@ class LocalizedElement:
 
     def __repr__(self):
         return f"LocalizedElement({self!s})"
-
-    def is_unit(self) -> bool:
-        return self.unit_inverse() is not None
-
-    def unit_inverse(self) -> LocalizedElement | None:
-        """Inverse in the localized ring: units are ring units times powers of c3."""
-        if self.num.is_zero:
-            return None
-        stripped = self.num
-        c3_power = 0
-        while True:
-            try:
-                stripped = _divide_c(stripped, PIVOT)
-            except NotDivisibleError:
-                break
-            c3_power += 1
-        witness = stripped.unit_inverse()
-        if witness is None:
-            return None
-        shift = self.denom_exp - c3_power
-        if shift >= 0:
-            return LocalizedElement(witness * self.ring.c(PIVOT) ** shift, 0)
-        return LocalizedElement(witness, -shift)
 
 
 @dataclass(frozen=True)
@@ -159,14 +81,11 @@ class LocDecomposition:
     tail: RingElement
 
     def reconstruct(self) -> LocalizedElement:
-        ring = self.tail.ring
-        c3 = ring.c(PIVOT)
-        acc = LocalizedElement(self.pole, 1)
-        power = ring.one
-        for head in self.heads:
-            acc = acc + head * power
-            power = power * c3
-        return acc + self.tail * power
+        c3 = self.tail.ring.c(PIVOT)
+        num = self.tail
+        for head in reversed(self.heads):
+            num = num * c3 + head
+        return LocalizedElement(self.pole + num * c3, 1)
 
 
 def loc_decompose(f: LocalizedElement, t: int) -> LocDecomposition:

@@ -1,14 +1,14 @@
-"""Dense matrices over exact ring or localized entries.
+"""Dense matrices over exact ring elements.
 
-Sizes here are tiny (2x2 and 3x3), so determinants go by cofactor expansion
-and inverses by the adjugate divided through a unit determinant.
+Every entry is a ``RingElement`` of one ring.  Sizes here are tiny (2x2 and
+3x3), so determinants go by cofactor expansion and inverses by the adjugate
+divided through a unit determinant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .localize import LocalizedElement
 from .ring import (
     Coeff,
     ColstabError,
@@ -31,10 +31,10 @@ class NotAUnitError(ColstabError):
 
 
 class Mat:
-    """Immutable rectangular matrix; all entries share one ring descriptor and
-    one entry kind.  ``rows`` is a tuple of tuples."""
+    """Immutable rectangular matrix of ring elements sharing one ring
+    descriptor.  ``rows`` is a tuple of tuples."""
 
-    __slots__ = ("rows", "ring", "localized")
+    __slots__ = ("rows", "ring")
 
     def __init__(self, rows):
         rows = tuple(map(tuple, rows))
@@ -44,15 +44,13 @@ class Mat:
         if any(len(r) != width for r in rows):
             raise ShapeError("ragged rows")
         first = rows[0][0]
-        localized = isinstance(first, LocalizedElement)
-        ring = first.ring
+        ring = first.ring if isinstance(first, RingElement) else None
         for r in rows:
             for x in r:
-                if isinstance(x, LocalizedElement) != localized or x.ring is not ring:
-                    raise ShapeError("entries must share one ring and one entry kind")
+                if not isinstance(x, RingElement) or x.ring is not ring:
+                    raise ShapeError("entries must be ring elements of one ring")
         self.rows = rows
         self.ring = ring
-        self.localized = localized
 
     @property
     def nrows(self) -> int:
@@ -101,12 +99,12 @@ class Mat:
             return Mat(
                 [[_dot(row, col) for col in cols] for row in self.rows]
             )
-        if isinstance(other, (RingElement, LocalizedElement, int, Fraction)):
+        if isinstance(other, (RingElement, int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (RingElement, LocalizedElement, int, Fraction)):
+        if isinstance(other, (RingElement, int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
@@ -133,7 +131,7 @@ class Mat:
             raise ShapeError("adjugate needs a square matrix")
         n = self.nrows
         if n == 1:
-            return identity(self.ring, 1, localized=self.localized)
+            return identity(self.ring, 1)
         cof = [
             [_cofactor(self.rows, i, j) for j in range(n)] for i in range(n)
         ]
@@ -184,9 +182,8 @@ def _cofactor(rows, i, j):
 # -- builders -------------------------------------------------------------------
 
 
-def identity(ring: RingDescriptor, n: int, localized: bool = False) -> Mat:
-    m = identity_plus(ring, n, {})
-    return m.map(lambda x: LocalizedElement(x, 0)) if localized else m
+def identity(ring: RingDescriptor, n: int) -> Mat:
+    return identity_plus(ring, n, {})
 
 
 def zeros(ring: RingDescriptor, nrows: int, ncols: int) -> Mat:
@@ -212,8 +209,6 @@ def transvection(ring: RingDescriptor, n: int, i: int, j: int, a: RingElement) -
 
 def promote(m: Mat, ring: RingDescriptor) -> Mat:
     """Reinterpret a ring-element matrix in a larger ring."""
-    if m.localized:
-        raise ShapeError("cannot promote a localized matrix")
     return m.map(lambda x: x.promote(ring))
 
 
@@ -240,8 +235,6 @@ def ring_from_document(doc: dict) -> RingDescriptor:
 
 
 def mat_to_document(m: Mat) -> dict:
-    if m.localized:
-        raise ShapeError("only ring-element matrices serialize to documents")
     return {
         "ring": ring_to_document(m.ring),
         "entries": [[format_element(x) for x in row] for row in m.rows],

@@ -12,7 +12,8 @@ significant field, each field holding its exponent plus a bias so that
 Laurent exponents fit too.  Integer order of the keys is lexicographic order
 of the exponent vectors, a product of two monomials is one integer addition,
 and one variable's exponent is read or replaced with a shift and a mask.
-Exponents are bounded in magnitude by ``MAX_EXPONENT``.
+Exponents are bounded in magnitude by ``MAX_EXPONENT``, the number of
+variables by ``MAX_NVARS`` and a decomposition depth by ``MAX_DEPTH``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,16 @@ MAX_EXPONENT = 1 << 20
 The parser rejects a larger exponent with ``ParseError``; a product that
 would carry one raises ``ExponentRangeError``.  Keys never wrap silently.
 """
+
+MAX_NVARS = 64
+"""Largest variable count; a larger one raises ``OutOfRangeError``.  A key has
+one field per variable and a descriptor builds every ``c_i``, so setup memory
+grows with the square of the count."""
+
+MAX_DEPTH = 64
+"""Largest depth ``c_adic_decompose`` peels; a larger one raises
+``OutOfRangeError``.  In Laurent mode ``a_k^-1`` has a nonzero head at every
+depth, so the depth alone sets the cost."""
 
 # A field holds exponent + _BIAS.  The bias leaves room for the sum of two
 # in-range exponents, so a product of in-range monomials is computed without
@@ -101,8 +112,8 @@ class RingDescriptor:
         ring = _INTERNED.get(key)
         if ring is not None:
             return ring
-        if nvars < 1:
-            raise OutOfRangeError("nvars must be >= 1")
+        if not 1 <= nvars <= MAX_NVARS:
+            raise OutOfRangeError(f"nvars must lie in 1..{MAX_NVARS}")
         ring = super().__new__(cls)
 
         def init(name, value):
@@ -525,8 +536,8 @@ class CAdicDecomposition:
 
 def c_adic_decompose(g: RingElement, k: int, t: int) -> CAdicDecomposition:
     """Peel off t heads of g along powers of c_k; the division is exact by construction."""
-    if t < 1:
-        raise OutOfRangeError("depth must be >= 1")
+    if not 1 <= t <= MAX_DEPTH:
+        raise OutOfRangeError(f"depth must lie in 1..{MAX_DEPTH}")
     g.ring._check_index(k)
     heads = []
     current = g

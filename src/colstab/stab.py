@@ -2,8 +2,10 @@
 
 A certified stabilizer fixes the column exactly and has unit determinant.
 Conjugating by the upper-triangular matrix with the column in its last column
-localizes a stabilizer to a 2x2 block over denominators in c3; splitting that
-block along powers of c3 yields four residues in the first two variables,
+puts a stabilizer into block form over the ring with c3 inverted; every entry
+of its 2x2 block has denominator c3, so the block is carried as c3 times
+itself, a matrix of ring elements.  Splitting that numerator along powers of
+c3 yields four residues in the first two variables,
 which assemble into a 2x2 congruence-type matrix.  The map onto those matrices
 is a group homomorphism, and every matrix of the congruence scheme with a
 vanishing determinant defect lifts back to an explicit 3x3 stabilizer.
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .localize import LocalizedElement, loc_decompose
 from .matrix import Mat, NotAUnitError, identity, mat_to_document, transvection
 from .ring import (
     ColstabError,
@@ -96,7 +97,7 @@ class StabMatrix:
 
 def check_stab(m: Mat) -> StabMatrix:
     """Certify membership in the stabilizer group, or raise with a witness."""
-    if m.nrows != 3 or m.ncols != 3 or m.localized:
+    if m.nrows != 3 or m.ncols != 3:
         raise NotStabilizingError([])
     col = column(m.ring)
     image = m.apply_column(col)
@@ -110,30 +111,25 @@ def check_stab(m: Mat) -> StabMatrix:
 
 
 def reduce(a: StabMatrix) -> Mat:
-    """Localized 2x2 block of the conjugated stabilizer.
+    """c3 times the 2x2 block of the conjugated stabilizer.
 
-    Every entry lies in the depth-one module (denominator exponent at most 1).
+    Entry (i, j) is ``a[i, j]*c3 - c_{i+1}*a[3, j]``.  The block itself has
+    denominator c3 in every entry; its numerator is returned so that the
+    result is a matrix of ring elements.  ``reduce`` is multiplicative up to
+    that factor: ``c3 * reduce(a*b) == reduce(a) * reduce(b)``.
     """
-    m, c3 = a.mat, a.ring.c(3)
-    rows = []
-    for i in range(2):
-        ci = a.ring.c(i + 1)
-        row = []
-        for j in range(2):
-            entry = LocalizedElement(m[i, j] * c3 - ci * m[2, j], 1)
-            assert entry.denom_exp <= 1
-            row.append(entry)
-        rows.append(row)
-    return Mat(rows)
+    m, ring = a.mat, a.ring
+    c3 = ring.c(3)
+    return Mat(
+        [[m[i, j] * c3 - ring.c(i + 1) * m[2, j] for j in range(2)] for i in range(2)]
+    )
 
 
 @dataclass(frozen=True)
 class ReductionParts:
-    """Parts of a reduced block along powers of c3.
-
-    identity + pole * c3^-1 + order0 + order1 * c3 + tail * c3^2 reconstructs
-    the block; pole, order0 and order1 are free of variable 3.
-    """
+    """Parts of a reduced numerator along powers of c3: pole, order0 and
+    order1 are free of variable 3, and c3*identity + pole + c3*order0 +
+    c3^2*order1 + c3^3*tail reconstructs the numerator."""
 
     pole: Mat
     order0: Mat
@@ -141,39 +137,21 @@ class ReductionParts:
     tail: Mat
 
     def reconstruct(self) -> Mat:
-        ring = self.pole.ring
-        c3 = ring.c(3)
-        loc = lambda m, e: m.map(lambda x: LocalizedElement(x, e))
-        return (
-            loc(identity(ring, 2), 0)
-            + loc(self.pole, 1)
-            + loc(self.order0, 0)
-            + loc(self.order1 * c3, 0)
-            + loc(self.tail * (c3 * c3), 0)
-        )
+        c3 = self.pole.ring.c(3)
+        inner = self.order0 + (self.order1 + self.tail.scale(c3)).scale(c3)
+        return self.pole + (identity(self.pole.ring, 2) + inner).scale(c3)
 
 
-def r_decompose(r: Mat) -> ReductionParts:
-    """Entrywise depth-two split of a reduced block minus the identity."""
-    ring = r.ring
-    diff = r - identity(ring, 2, localized=r.localized)
-    pole, order0, order1, tail = [], [], [], []
-    for i in range(2):
-        row = [[], [], [], []]
-        for j in range(2):
-            entry = diff[i, j]
-            if not isinstance(entry, LocalizedElement):
-                entry = LocalizedElement(entry, 0)
-            dec = loc_decompose(entry, 2)
-            row[0].append(dec.pole)
-            row[1].append(dec.heads[0])
-            row[2].append(dec.heads[1])
-            row[3].append(dec.tail)
-        pole.append(row[0])
-        order0.append(row[1])
-        order1.append(row[2])
-        tail.append(row[3])
-    return ReductionParts(Mat(pole), Mat(order0), Mat(order1), Mat(tail))
+def r_decompose(n: Mat) -> ReductionParts:
+    """Entrywise split of a reduced numerator minus c3 times the identity:
+    heads 0, 1 and 2 along c3 are the pole, order0 and order1."""
+    diff = n - identity(n.ring, 2).scale(n.ring.c(3))
+    decs = [[c_adic_decompose(x, 3, 3) for x in row] for row in diff.rows]
+    # Per entry: heads 0, 1, 2 and the tail.
+    levels = [[dec.heads + (dec.tail,) for dec in row] for row in decs]
+    return ReductionParts(
+        *(Mat([[x[k] for x in row] for row in levels]) for k in range(4))
+    )
 
 
 @dataclass(frozen=True)
@@ -212,7 +190,8 @@ def _solve_multiple(m: Mat, block: Mat) -> RingElement:
 
 
 def residues(a: StabMatrix) -> ResidueQuadruple:
-    """Residues extracted from the reduction relations.
+    """Residues extracted from the reduction relations: the parts of the
+    reduced numerator are fixed multiples of ``annihilator_block``.
 
     An independent route to the residues that ``rho`` takes from
     ``residues_closed_form``; the verification suites cross-check the two.
@@ -275,7 +254,7 @@ def _two_variable(g: RingElement) -> bool:
 def in_scheme(b: Mat) -> bool:
     """Membership in the congruence scheme: diagonal 1 modulo the augmentation
     ideal, lower-left in its square, unit determinant, two-variable entries."""
-    if b.nrows != 2 or b.ncols != 2 or b.localized:
+    if b.nrows != 2 or b.ncols != 2:
         return False
     ring = b.ring
     one = ring.one
@@ -462,10 +441,11 @@ def preimage(
 
     Factors the input through its variable-2 specialization, corrects the
     mixed lower-left coordinate by the transvection ``t21(mu*c1*c2)``, and
-    lifts both factors explicitly.  The correcting transvection has a tame
-    preimage exactly when mu vanishes at the base point: then it is
-    ``S(1,3; l1) * S(2,3; -l2)`` with ``(l1, l2)`` the split of mu along
-    (c1, c2).  Otherwise no tame word maps onto it, since every tame letter
+    lifts both factors explicitly.  mu is the mixed coordinate ``d12`` of
+    ``delta_split_quadratic``, so it involves variable 1 only.  The correcting
+    transvection has a tame preimage exactly when mu vanishes at the base
+    point: then c1 divides mu and it is ``S(1,3; mu/c1)``.  Otherwise no tame
+    word maps onto it, since every tame letter
     maps to a transvection whose lower entry lies in I = (c1^2, c2^2), while
     ``mu*c1*c2`` is ``mu(base)*c1*c2`` modulo I; the report then carries mu
     as the obstruction.
@@ -494,9 +474,8 @@ def preimage(
         )
     from .tame import gen_S  # deferred import; tame builds on this module
 
-    # mu = 0 splits as (0, 0), whose letters are the identity.
-    l1, l2 = delta_split_linear(mu)
-    result = first * second * gen_S(ring, 1, 3, l1) * gen_S(ring, 2, 3, -l2)
+    # Exact: mu involves variable 1 only and vanishes at the base point.
+    result = first * second * gen_S(ring, 1, 3, mu.divide_exact(c1))
 
     image = rho(result)
     if image.mat != b.mat:

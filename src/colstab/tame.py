@@ -137,8 +137,8 @@ def stab2(a: RingElement) -> Mat:
 
 def stab2_param(m: Mat) -> RingElement:
     """Invert stab2, rejecting anything outside the one-parameter family."""
-    if m.nrows != 2 or m.ncols != 2 or m.localized:
-        raise NotInStab2Error("input must be a 2x2 ring-element matrix")
+    if m.nrows != 2 or m.ncols != 2:
+        raise NotInStab2Error("input must be a 2x2 matrix")
     ring = m.ring
     col = [ring.c(1), ring.c(2)]
     image = m.apply_column(col)

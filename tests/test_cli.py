@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -13,7 +15,7 @@ from colstab import (
 )
 import colstab.cli
 from colstab.cli import main
-from colstab.ring import MAX_EXPONENT
+from colstab.ring import MAX_DEPTH, MAX_EXPONENT, MAX_NVARS
 
 from conftest import POLY2, POLY3
 
@@ -129,6 +131,8 @@ def test_preimage_rejects_non_scheme_input(capsys):
     assert code == 3
 
 _DOC = _doc(cohn_matrix(POLY2))
+_NON_UTF8 = bytes.fromhex("fffe7b7d")
+_NON_UTF8_FILE = "<file of non-UTF-8 bytes>"
 _SUBCOMMANDS = [
     ("check-stab", ["--inline", _DOC]),
     ("residues", ["--inline", _DOC]),
@@ -158,9 +162,18 @@ _SUBCOMMANDS = [
         (["check-stab", "--input", "a", "--inline", "b"], "check-stab", 2),
         ([], None, 2),
         (["frobnicate"], None, 2),
+        (["check-stab", "--input", _NON_UTF8_FILE], "check-stab", 2),
+        (["rho"], "rho", 2),
     ],
 )
-def test_malformed_command_lines_exit_with_json(capsys, argv, subcommand, code):
+def test_malformed_command_lines_exit_with_json(
+    capsys, monkeypatch, tmp_path, argv, subcommand, code
+):
+    # Both the placeholder file and standard input hold bytes that are not UTF-8.
+    path = tmp_path / "input.json"
+    path.write_bytes(_NON_UTF8)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(_NON_UTF8)))
+    argv = [str(path) if arg == _NON_UTF8_FILE else arg for arg in argv]
     exit_code, out, _ = run_cli(capsys, *argv)
     assert exit_code == code
     payload = json.loads(out)
@@ -257,6 +270,13 @@ def test_verify_rejects_vacuous_runs(capsys, trials):
     assert payload["error"] == "domain"
     assert "ok" not in payload
 
+_HUGE_RING_IDENTITY = json.dumps(
+    {
+        "ring": {"mode": "polynomial", "nvars": 64000},
+        "entries": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    }
+)
+
 _TWO_VARIABLE_IDENTITY = json.dumps(
     {
         "ring": {"mode": "polynomial", "nvars": 2},
@@ -274,6 +294,14 @@ _TWO_VARIABLE_IDENTITY = json.dumps(
         ["verify", "--nvars", "2"],
         ["tame-sample", "--nvars", "2"],
         ["tame-sample", "--coeff-bound", "-1"],
+        ["decompose", "--nvars", "16000", "--expr", "a1 + 1", "--var", "1"],
+        ["decompose", "--nvars", str(MAX_NVARS + 1), "--expr", "1"],
+        ["decompose", "--expr", "a1", "--var", "1", "--depth", "100000000"],
+        ["decompose", "--mode", "laurent", "--expr", "a1^-1", "--var", "1",
+         "--depth", str(MAX_DEPTH + 1)],
+        ["verify", "--nvars", "64000"],
+        ["tame-sample", "--nvars", "64000"],
+        ["check-stab", "--inline", _HUGE_RING_IDENTITY],
     ]
     + [
         [name, "--inline", _TWO_VARIABLE_IDENTITY]
@@ -283,6 +311,9 @@ _TWO_VARIABLE_IDENTITY = json.dumps(
         "decompose-nvars-0", "decompose-var-5", "decompose-depth-0",
         "verify-nvars-0", "verify-nvars-2", "tame-sample-nvars-2",
         "tame-sample-coeff-bound-negative",
+        "decompose-nvars-16000", "decompose-nvars-above-limit",
+        "decompose-depth-huge", "decompose-laurent-depth-above-limit",
+        "verify-nvars-64000", "tame-sample-nvars-64000", "check-stab-doc-nvars-64000",
         "check-stab-doc-nvars-2", "residues-doc-nvars-2", "rho-doc-nvars-2",
         "reduce-doc-nvars-2",
     ],
@@ -309,6 +340,31 @@ def test_every_library_error_exits_3_with_json(capsys, monkeypatch, error):
     code, out, _ = run_cli(capsys, "rho", "--inline", doc)
     assert code == 3
     assert json.loads(out) == {"subcommand": "rho", "error": "domain", "message": "x"}
+
+def test_internal_error_exits_4_with_json(capsys, monkeypatch):
+    def fail(_):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(colstab.cli, "rho", fail)
+    doc = _doc(gen_T(POLY3, 3, 1, 2, POLY3.one).mat)
+    code, out, err = run_cli(capsys, "rho", "--inline", doc)
+    assert code == 4
+    assert json.loads(out) == {
+        "subcommand": "rho",
+        "error": "internal",
+        "message": "RuntimeError: boom",
+    }
+    assert "Traceback" not in err
+
+
+def test_decompose_at_the_depth_limit(capsys):
+    code, out, _ = run_cli(
+        capsys, "decompose", "--mode", "laurent", "--expr", "a1^-1", "--var", "1",
+        "--depth", str(MAX_DEPTH),
+    )
+    assert code == 0
+    assert len(json.loads(out)["heads"]) == MAX_DEPTH
+
 
 def test_verify_output_reproducible(capsys):
     args = ["verify", "--suite", "stab2", "--trials", "20", "--seed", "3"]

@@ -7,18 +7,6 @@ from colstab import DenomTooDeepError, LocalizedElement, loc_decompose
 from conftest import LAUR3, POLY3, elements
 
 
-def test_arithmetic_examples(ring3):
-    c3 = ring3.c(3)
-    one_over = LocalizedElement(ring3.one, 1)
-    assert one_over * c3 == LocalizedElement(ring3.one, 0)
-    cancelled = one_over + (-one_over)
-    assert cancelled == LocalizedElement(ring3.zero, 0)
-    assert cancelled.denom_exp == 0
-    prod = LocalizedElement(ring3.var(1), 1) * LocalizedElement(ring3.var(2), 1)
-    assert prod.num == ring3.var(1) * ring3.var(2)
-    assert prod.denom_exp == 2
-
-
 def test_normalization_strips_common_pivot_factors(ring3):
     c3 = ring3.c(3)
     f = LocalizedElement(ring3.var(1) * c3 * c3, 2)
@@ -34,6 +22,11 @@ def test_equality_through_normalization(ring3):
     g = LocalizedElement(ring3.var(2), 0)
     assert f == g
     assert hash(f) == hash(g)
+
+
+def test_localized_elements_carry_no_arithmetic():
+    for name in ("__add__", "__sub__", "__mul__", "__neg__", "unit_inverse"):
+        assert not hasattr(LocalizedElement, name)
 
 
 def test_decompose_examples():
@@ -52,27 +45,6 @@ def test_decompose_examples():
 
     with pytest.raises(DenomTooDeepError):
         loc_decompose(LocalizedElement(LAUR3.var(1), 2), 1)
-
-
-def test_unit_inverse_in_localization(ring3):
-    c3 = ring3.c(3)
-    f = LocalizedElement(c3 * c3, 1)
-    inv = f.unit_inverse()
-    assert inv is not None
-    assert f * inv == LocalizedElement(ring3.one, 0)
-    assert LocalizedElement(ring3.one + ring3.var(1), 1).unit_inverse() is None
-
-
-@pytest.mark.parametrize("ring", [POLY3, LAUR3], ids=["polynomial", "laurent"])
-@settings(deadline=None)
-@given(data=st.data())
-def test_embedding_commutes_with_arithmetic(ring, data):
-    g = data.draw(elements(ring))
-    h = data.draw(elements(ring))
-    embed = lambda x: LocalizedElement(x, 0)
-    assert embed(g) + embed(h) == embed(g + h)
-    assert embed(g) * embed(h) == embed(g * h)
-    assert -embed(g) == embed(-g)
 
 
 @pytest.mark.parametrize("ring", [POLY3, LAUR3], ids=["polynomial", "laurent"])

@@ -26,6 +26,7 @@ from colstab import (
     column,
     compose_residues,
     conjugator,
+    delta_split_quadratic,
     eval_word,
     gen_S,
     gen_T,
@@ -34,6 +35,7 @@ from colstab import (
     in_H,
     in_delta,
     in_scheme,
+    loc_decompose,
     preimage,
     r_decompose,
     reduce,
@@ -57,10 +59,6 @@ from colstab.tame import S_INDICES, T_INDICES
 from colstab.verify import _random_element
 
 from conftest import LAUR3, POLY3
-
-
-def _loc(m):
-    return m.map(lambda x: LocalizedElement(x, 0))
 
 
 def _sample(ring, seed, length=6):
@@ -125,57 +123,62 @@ def test_check_stab_requires_unit_determinant(ring3):
 # -- reduction ---------------------------------------------------------------------
 
 
+def _c3_identity(ring):
+    return identity(ring, 2).scale(ring.c(3))
+
+
 def test_reduce_of_special_row_perturbation(ring3):
     t = gen_T(ring3, 3, 1, 2, ring3.const(-1))
-    block = annihilator_block(ring3)
-    expected = _loc(identity(ring3, 2)) + _loc(block) * LocalizedElement(ring3.one, 1)
-    assert reduce(t) == expected
+    assert reduce(t) == _c3_identity(ring3) + annihilator_block(ring3)
 
 
 def test_reduce_identity(ring3):
-    assert reduce(check_stab(identity(ring3, 3))) == _loc(identity(ring3, 2))
+    assert reduce(check_stab(identity(ring3, 3))) == _c3_identity(ring3)
 
 
 def test_reduce_of_embedded_block(ring3):
     a = ring3.parse("a1 - 2")
     s = gen_S(ring3, 1, 2, a)
-    assert reduce(s) == _loc(identity(ring3, 2) + annihilator_block(ring3).scale(a))
+    expected = identity(ring3, 2) + annihilator_block(ring3).scale(a)
+    assert reduce(s) == expected.scale(ring3.c(3))
 
 
 def test_reduce_matches_full_conjugation(ring3):
+    # C * (c3 * C^-1 A C) == c3 * A * C, with the numerator in the upper-left block.
+    c3 = ring3.c(3)
+    zero = ring3.zero
     for seed in range(8):
         a = _sample(ring3, seed)
-        block = reduce(a)
+        n = reduce(a)
         diff = a.mat - identity(ring3, 3)
         conjugated = Mat(
             [
-                [block[0, 0], block[0, 1], LocalizedElement(ring3.zero, 0)],
-                [block[1, 0], block[1, 1], LocalizedElement(ring3.zero, 0)],
-                [
-                    LocalizedElement(diff[2, 0], 1),
-                    LocalizedElement(diff[2, 1], 1),
-                    LocalizedElement(ring3.one, 0),
-                ],
+                [n[0, 0], n[0, 1], zero],
+                [n[1, 0], n[1, 1], zero],
+                [diff[2, 0], diff[2, 1], c3],
             ]
         )
-        c = _loc(conjugator(ring3))
-        assert c * conjugated == _loc(a.mat) * c
+        c = conjugator(ring3)
+        assert c * conjugated == (a.mat * c).scale(c3)
 
 
 def test_reduce_is_multiplicative(ring3):
     rng = random.Random(23)
+    c3 = ring3.c(3)
     for _ in range(100):
         a = _sample(ring3, rng.getrandbits(32), length=4)
         b = _sample(ring3, rng.getrandbits(32), length=4)
-        assert reduce(a * b) == reduce(a) * reduce(b)
+        assert reduce(a * b).scale(c3) == reduce(a) * reduce(b)
 
 
 def test_reduced_entries_stay_in_depth_one_module(ring3):
+    # The blocks of a and b multiply to a block that still has denominator c3
+    # at most: the product of the numerators is divisible by c3.
     for seed in range(10):
-        block = reduce(_sample(ring3, seed))
-        for i in range(2):
-            for j in range(2):
-                assert block[i, j].denom_exp <= 1
+        product = reduce(_sample(ring3, seed)) * reduce(_sample(ring3, seed + 100))
+        for row in product.rows:
+            for x in row:
+                assert LocalizedElement(x, 2).denom_exp <= 1
 
 
 # -- decomposition of the reduced block ---------------------------------------------
@@ -206,8 +209,27 @@ def test_parts_of_embedded_block(ring3):
 
 def test_parts_reconstruct_random(ring3):
     for seed in range(10):
-        block = reduce(_sample(ring3, seed))
-        assert r_decompose(block).reconstruct() == block
+        n = reduce(_sample(ring3, seed))
+        assert r_decompose(n).reconstruct() == n
+
+
+def test_parts_match_the_localized_route(ring3):
+    # Differential: each part equals the split of the block entry over c3.
+    c3 = ring3.c(3)
+    rng = random.Random(41)
+    for _ in range(40):
+        n = reduce(_sample(ring3, rng.getrandbits(32), length=8))
+        parts = r_decompose(n)
+        for i in range(2):
+            for j in range(2):
+                entry = n[i, j] - c3 if i == j else n[i, j]
+                dec = loc_decompose(LocalizedElement(entry, 1), 2)
+                assert (
+                    parts.pole[i, j],
+                    parts.order0[i, j],
+                    parts.order1[i, j],
+                    parts.tail[i, j],
+                ) == (dec.pole, *dec.heads, dec.tail)
 
 
 # -- residues ----------------------------------------------------------------------
@@ -527,6 +549,21 @@ def test_every_tame_word_image_lifts(ring3):
         assert report.ok
         assert rho(report.preimage).mat == target.mat
         assert report.preimage.mat.det().is_unit()
+
+
+def test_correction_parameter_involves_variable_1_only(ring3):
+    # preimage's mu is the mixed coordinate of the quadratic split of the
+    # remainder's lower-left entry; when it vanishes at the base point, c1
+    # divides it exactly.
+    c1 = ring3.c(1)
+    rng = random.Random(31)
+    for _ in range(40):
+        b = rho(_sample(ring3, rng.getrandbits(32), length=rng.randint(1, 6))).mat
+        base = b.map(lambda x: x.specialize(2))
+        _, mu, _, _ = delta_split_quadratic((base.inverse() * b)[1, 0])
+        assert mu.free_of(2) and mu.free_of(3)
+        if in_delta(mu, 1):
+            assert mu.divide_exact(c1) * c1 == mu
 
 
 def test_search_budget_is_inert(ring3):
