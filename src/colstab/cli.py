@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .localize import LocalizedElement
+from .localize import format_over_c3
 from .matrix import (
     Mat,
     NotAUnitError,
@@ -72,10 +72,10 @@ def _ring_from_flags(args) -> RingDescriptor:
 
 def _load_document(args) -> dict:
     """The document of ``--inline``, else the ``--input`` file or stdin as UTF-8."""
-    if args.inline:
+    if args.inline is not None:
         text = args.inline
     else:
-        if args.input:
+        if args.input is not None:
             with open(args.input, "rb") as handle:
                 data = handle.read()
         else:
@@ -155,9 +155,7 @@ def cmd_reduce(args) -> int:
     _emit(
         {
             "subcommand": "reduce",
-            "entries": [
-                [str(LocalizedElement(x, 1)) for x in row] for row in numerator.rows
-            ],
+            "entries": [[format_over_c3(x) for x in row] for row in numerator.rows],
         }
     )
     _note(f"reduced block {numerator} / c3")

@@ -565,10 +565,14 @@ def in_delta(g: RingElement, p: int) -> bool:
     return True
 
 
-def _require_two_variable(g: RingElement, what: str) -> None:
-    for k in range(3, g.ring.nvars + 1):
-        if not g.free_of(k):
-            raise NotInIdealError(f"{what} must involve only the first two variables")
+def _two_variable(g: RingElement) -> bool:
+    """Whether g involves only the first two variables."""
+    return all(g.free_of(k) for k in range(3, g.ring.nvars + 1))
+
+
+def _require_two_variable(g: RingElement) -> None:
+    if not _two_variable(g):
+        raise NotInIdealError("split input must involve only the first two variables")
 
 
 def delta_split_linear(beta: RingElement) -> tuple[RingElement, RingElement]:
@@ -577,7 +581,7 @@ def delta_split_linear(beta: RingElement) -> tuple[RingElement, RingElement]:
     The split is made deterministic by specializing variable 2 first; only the
     reconstruction identity is canonical, not the pair itself.
     """
-    _require_two_variable(beta, "split input")
+    _require_two_variable(beta)
     if not in_delta(beta, 1):
         raise NotInIdealError("element is not in the augmentation ideal")
     ring = beta.ring
@@ -594,7 +598,7 @@ def delta_split_quadratic(
     The deterministic rule sets d12p = 0 and peels d11, d12 off the
     variable-2-specialized parts, so d11 and d12 are free of variable 2.
     """
-    _require_two_variable(delta, "split input")
+    _require_two_variable(delta)
     if not in_delta(delta, 2):
         raise NotInIdealError("element is not in the squared augmentation ideal")
     ring = delta.ring

@@ -22,6 +22,7 @@ from .ring import (
     NotDivisibleError,
     RingDescriptor,
     RingElement,
+    _two_variable,
     c_adic_decompose,
     delta_split_linear,
     delta_split_quadratic,
@@ -115,8 +116,9 @@ def reduce(a: StabMatrix) -> Mat:
 
     Entry (i, j) is ``a[i, j]*c3 - c_{i+1}*a[3, j]``.  The block itself has
     denominator c3 in every entry; its numerator is returned so that the
-    result is a matrix of ring elements.  ``reduce`` is multiplicative up to
-    that factor: ``c3 * reduce(a*b) == reduce(a) * reduce(b)``.
+    result is a matrix of ring elements, and ``localize.format_over_c3``
+    prints a block entry from it.  ``reduce`` is multiplicative up to that
+    factor: ``c3 * reduce(a*b) == reduce(a) * reduce(b)``.
     """
     m, ring = a.mat, a.ring
     c3 = ring.c(3)
@@ -245,10 +247,6 @@ def compose_residues(q: ResidueQuadruple, q2: ResidueQuadruple) -> ResidueQuadru
         gamma + gamma2 + gamma * gamma2 + delta * alpha2,
         delta + delta2 + delta * beta2 + gamma * delta2,
     )
-
-
-def _two_variable(g: RingElement) -> bool:
-    return all(g.free_of(k) for k in range(3, g.ring.nvars + 1))
 
 
 def in_scheme(b: Mat) -> bool:

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import colstab
 from colstab import (
     CongruenceMatrix,
-    LocalizedElement,
     Mat,
     Mode,
     NotAUnitError,
@@ -35,7 +34,6 @@ from colstab import (
     in_H,
     in_delta,
     in_scheme,
-    loc_decompose,
     preimage,
     r_decompose,
     reduce,
@@ -55,9 +53,11 @@ from colstab.stab import (
     matrix_from_splits,
 )
 
+from colstab.ring import _divide_c
 from colstab.tame import S_INDICES, T_INDICES
 from colstab.verify import _random_element
 
+import reference_ring as ref
 from conftest import LAUR3, POLY3
 
 
@@ -174,11 +174,12 @@ def test_reduce_is_multiplicative(ring3):
 def test_reduced_entries_stay_in_depth_one_module(ring3):
     # The blocks of a and b multiply to a block that still has denominator c3
     # at most: the product of the numerators is divisible by c3.
+    c3 = ring3.c(3)
     for seed in range(10):
         product = reduce(_sample(ring3, seed)) * reduce(_sample(ring3, seed + 100))
         for row in product.rows:
             for x in row:
-                assert LocalizedElement(x, 2).denom_exp <= 1
+                assert _divide_c(x, 3) * c3 == x
 
 
 # -- decomposition of the reduced block ---------------------------------------------
@@ -213,23 +214,24 @@ def test_parts_reconstruct_random(ring3):
         assert r_decompose(n).reconstruct() == n
 
 
-def test_parts_match_the_localized_route(ring3):
-    # Differential: each part equals the split of the block entry over c3.
-    c3 = ring3.c(3)
+def test_parts_match_the_reference_kernel(ring3):
+    # Differential: each part entry equals the split, in the tuple kernel, of
+    # the numerator entry minus its share of c3 times the identity.
+    ref_ring = ref.RingDescriptor(ring3.mode, ring3.nvars, ring3.coeff)
     rng = random.Random(41)
     for _ in range(40):
         n = reduce(_sample(ring3, rng.getrandbits(32), length=8))
         parts = r_decompose(n)
         for i in range(2):
             for j in range(2):
-                entry = n[i, j] - c3 if i == j else n[i, j]
-                dec = loc_decompose(LocalizedElement(entry, 1), 2)
-                assert (
-                    parts.pole[i, j],
-                    parts.order0[i, j],
-                    parts.order1[i, j],
-                    parts.tail[i, j],
-                ) == (dec.pole, *dec.heads, dec.tail)
+                entry = ref.RingElement(ref_ring, n[i, j].terms)
+                if i == j:
+                    entry = entry - ref_ring.c(3)
+                dec = ref.c_adic_decompose(entry, 3, 3)
+                assert [
+                    part[i, j].terms
+                    for part in (parts.pole, parts.order0, parts.order1, parts.tail)
+                ] == [x.terms for x in (*dec.heads, dec.tail)]
 
 
 # -- residues ----------------------------------------------------------------------

@@ -6,7 +6,6 @@ from colstab import (
     Coeff,
     DescriptorMismatchError,
     Letter,
-    LocalizedElement,
     Mat,
     Mode,
     NotInStab2Error,
@@ -120,8 +119,9 @@ def test_generators_certify_with_ring_parameters(ring3):
 @pytest.mark.parametrize(
     "param, error",
     [
-        (LocalizedElement(POLY3.one, 1), ShapeError),
-        (LocalizedElement(LAUR3.var(1), 0), ShapeError),
+        # (numerator, c3-exponent) pairs: elements of the localization
+        ((POLY3.one, 1), ShapeError),
+        ((LAUR3.var(1), 0), ShapeError),
         (1.5, ShapeError),
         ("a1", ShapeError),
         (POLY2.var(1), DescriptorMismatchError),
