@@ -1,11 +1,10 @@
-import contextlib
 import io
 import json
 import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from colstab import (
@@ -482,20 +481,17 @@ def _documents(draw):
     return json.dumps(doc)
 
 
-def _run_quietly(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    return code, out.getvalue()
-
-
-def _assert_documented(argv):
-    code, out = _run_quietly(argv)
+def _assert_documented(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
     assert code in (0, 1, 2, 3), (argv, out)
     json.loads(out)
 
 
-@settings(max_examples=150, deadline=None)
+# run_cli reads capsys out after each call, so one capsys serves every example
+_FUZZ = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@settings(_FUZZ, max_examples=150)
 @given(
     subcommand=st.sampled_from(["check-stab", "residues", "rho", "reduce", "preimage"]),
     document=st.one_of(
@@ -504,24 +500,24 @@ def _assert_documented(argv):
         _documents(),
     ),
 )
-def test_fuzzed_documents_exit_with_a_documented_code(subcommand, document):
-    _assert_documented([subcommand, f"--inline={document}"])
+def test_fuzzed_documents_exit_with_a_documented_code(capsys, subcommand, document):
+    _assert_documented(capsys, [subcommand, f"--inline={document}"])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(_FUZZ, max_examples=150)
 @given(data=st.data())
-def test_fuzzed_decompose_exits_with_a_documented_code(data):
+def test_fuzzed_decompose_exits_with_a_documented_code(capsys, data):
     argv = ["decompose", f"--expr={data.draw(_EXPRESSIONS)}"]
     argv += data.draw(_flag("mode", st.sampled_from(["polynomial", "laurent"]) | _JUNK))
     argv += data.draw(_flag("coeff", st.sampled_from(["int", "rat"]) | _JUNK))
     for name in ("nvars", "var", "depth"):
         argv += data.draw(_flag(name, _integers(-99, 99)))
-    _assert_documented(argv)
+    _assert_documented(capsys, argv)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(_FUZZ, max_examples=100)
 @given(data=st.data())
-def test_fuzzed_integer_flags_exit_with_a_documented_code(data):
+def test_fuzzed_integer_flags_exit_with_a_documented_code(capsys, data):
     if data.draw(st.booleans()):
         argv = ["tame-sample"]
         argv += data.draw(_flag("mode", st.sampled_from(["polynomial", "laurent"])))
@@ -535,4 +531,4 @@ def test_fuzzed_integer_flags_exit_with_a_documented_code(data):
         argv += data.draw(_flag("trials", _integers(-2, 2)))
         for name in ("seed", "nvars"):
             argv += data.draw(_flag(name, _integers(-99, 99)))
-    _assert_documented(argv)
+    _assert_documented(capsys, argv)
