@@ -7,14 +7,19 @@ divided through a unit determinant.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from itertools import repeat
 
 from .ring import (
+    MAX_EXPONENT,
     Coeff,
     ColstabError,
+    DescriptorMismatchError,
     Mode,
     RingDescriptor,
     RingElement,
+    _element,
     format_element,
     parse_element,
 )
@@ -73,18 +78,19 @@ class Mat:
         return hash(self.rows)
 
     def __add__(self, other):
+        return self._entrywise(other, operator.add)
+
+    def __sub__(self, other):
+        return self._entrywise(other, operator.sub)
+
+    def _entrywise(self, other, op):
         if not isinstance(other, Mat):
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeError("addition needs equal shapes")
         return Mat(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+            [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
         )
-
-    def __sub__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return self + (-other)
 
     def __neg__(self):
         return Mat([[-x for x in r] for r in self.rows])
@@ -112,7 +118,7 @@ class Mat:
         return Mat([[x * factor for x in r] for r in self.rows])
 
     def apply_column(self, column):
-        """Matrix times column vector, returned as a list."""
+        """Matrix times a column of elements of its ring, returned as a list."""
         column = list(column)
         if len(column) != self.ncols:
             raise ShapeError("column length mismatch")
@@ -152,31 +158,53 @@ class Mat:
         return f"Mat({self!s})"
 
 
-def _dot(row, col):
-    acc = None
-    for a, b in zip(row, col):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
+def _dot(row, col, signs=None):
+    """The sum of the products row[i]*col[i], each negated where signs[i] is
+    negative, accumulated term by term in one dict of packed keys."""
+    ring = row[0].ring
+    origin = ring._origin
+    acc = {}
+    get = acc.get
+    span = 0
+    for a, b, sign in zip(row, col, signs or repeat(1)):
+        if a.ring is not ring or b.ring is not ring:
+            raise DescriptorMismatchError("operands live in different rings")
+        small, large = a._terms, b._terms
+        if not small or not large:
+            continue
+        bound = a._span + b._span
+        if bound > MAX_EXPONENT:
+            # The element product checks the exponents of this one exactly.
+            product = a * b
+            small, large, bound = {origin: 1}, product._terms, product._span
+        elif len(small) > len(large):
+            small, large = large, small
+        span = max(span, bound)
+        for k1, c1 in small.items():
+            k1 -= origin
+            if sign < 0:
+                c1 = -c1
+            for k2, c2 in large.items():
+                key = k1 + k2
+                acc[key] = get(key, 0) + c1 * c2
+    return _element(ring, {key: c for key, c in acc.items() if c}, span)
 
 
-def _det(rows):
+def _det(rows, sign=1):
+    """The determinant, negated when sign is negative, by cofactor expansion
+    along the first column."""
     n = len(rows)
     if n == 1:
-        return rows[0][0]
+        return rows[0][0] if sign > 0 else -rows[0][0]
     if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = None
-    for i in range(n):
-        term = rows[i][0] * _cofactor(rows, i, 0)
-        acc = term if acc is None else acc + term
-    return acc
+        (a, b), (c, d) = rows
+        return _dot((a, b), (d, c), (sign, -sign))
+    return _dot([r[0] for r in rows], [_cofactor(rows, i, 0, sign) for i in range(n)])
 
 
-def _cofactor(rows, i, j):
+def _cofactor(rows, i, j, sign=1):
     minor = [r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]
-    m = _det(minor)
-    return m if (i + j) % 2 == 0 else -m
+    return _det(minor, -sign if (i + j) % 2 else sign)
 
 
 # -- builders -------------------------------------------------------------------

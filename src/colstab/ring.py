@@ -37,9 +37,9 @@ one field per variable and a descriptor builds every ``c_i``, so setup memory
 grows with the square of the count."""
 
 MAX_DEPTH = 64
-"""Largest depth ``c_adic_decompose`` peels; a larger one raises
-``OutOfRangeError``.  In Laurent mode ``a_k^-1`` has a nonzero head at every
-depth, so the depth alone sets the cost."""
+"""Largest depth ``c_adic_decompose`` peels and ``c_heads`` reads; a larger
+one raises ``OutOfRangeError``.  In Laurent mode ``a_k^-1`` has a nonzero head
+at every depth, so the depth alone sets the cost."""
 
 # A field holds exponent + _BIAS.  The bias leaves room for the sum of two
 # in-range exponents, so a product of in-range monomials is computed without
@@ -273,6 +273,8 @@ class RingElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other._terms:
+            return self
         acc = dict(self._terms)
         for key, coeff in other._terms.items():
             val = acc.get(key, 0) + coeff
@@ -293,6 +295,8 @@ class RingElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other._terms:
+            return self
         acc = dict(self._terms)
         for key, coeff in other._terms.items():
             val = acc.get(key, 0) - coeff
@@ -406,7 +410,8 @@ class RingElement:
         exps = [0] * self.ring.nvars
         rest = d
         for k in range(1, self.ring.nvars + 1):
-            while True:
+            # A nonzero element free of variable k has no factor c_k.
+            while not rest.free_of(k):
                 try:
                     rest = _divide_c(rest, k)
                 except NotDivisibleError:
@@ -548,6 +553,48 @@ def c_adic_decompose(g: RingElement, k: int, t: int) -> CAdicDecomposition:
     return CAdicDecomposition(k=k, heads=tuple(heads), tail=current)
 
 
+def c_heads(g: RingElement, k: int, t: int) -> tuple:
+    """The first t heads of g along powers of c_k, as ``c_adic_decompose``
+    peels them, in one pass over the terms and with no division.
+
+    The heads are the Taylor coefficients of g in c_k at the base point.  In
+    polynomial mode head i is the terms of a_k-degree i with a_k removed.  In
+    Laurent mode a_k^e = (1 + c_k)^e, so a term contributes its coefficient
+    times the binomial C(e, i) to head i, for negative e too.
+    """
+    if not 1 <= t <= MAX_DEPTH:
+        raise OutOfRangeError(f"depth must lie in 1..{MAX_DEPTH}")
+    ring = g.ring
+    ring._check_index(k)
+    mask, zero = ring._field(k)
+    shift = ring._shifts[k - 1]
+    accs = [{} for _ in range(t)]
+    if ring.mode is Mode.POLYNOMIAL:
+        # Terms of one degree differ outside field k, so none collide.
+        for key, coeff in g._terms.items():
+            field = key & mask
+            e = (field >> shift) - _BIAS
+            if e < t:
+                accs[e][key - field + zero] = coeff
+        return tuple(_element(ring, acc, g._span) for acc in accs)
+    for key, coeff in g._terms.items():
+        field = key & mask
+        e = (field >> shift) - _BIAS
+        key += zero - field
+        binomial = 1
+        for i, acc in enumerate(accs):
+            acc[key] = acc.get(key, 0) + binomial * coeff
+            # C(e, i + 1) = C(e, i) * (e - i) / (i + 1), an exact division;
+            # zero from i = e on when e >= 0.
+            binomial = binomial * (e - i) // (i + 1)
+            if not binomial:
+                break
+    return tuple(
+        _element(ring, {key: c for key, c in acc.items() if c}, g._span)
+        for acc in accs
+    )
+
+
 def in_delta(g: RingElement, p: int) -> bool:
     """Membership of g in the augmentation ideal (p = 1) or its square (p = 2)."""
     if p not in (1, 2):
@@ -556,13 +603,12 @@ def in_delta(g: RingElement, p: int) -> bool:
         return False
     if p == 1:
         return True
-    for k in range(1, g.ring.nvars + 1):
-        head = g.specialize(k)
-        rest = g - head
-        linear = _divide_c(rest, k) if rest else g.ring.zero
-        if not linear.specialize_all().is_zero:
-            return False
-    return True
+    # In the square exactly when, along every c_k, the linear head also
+    # vanishes at the base point.
+    return all(
+        c_heads(g, k, 2)[1].specialize_all().is_zero
+        for k in range(1, g.ring.nvars + 1)
+    )
 
 
 def _two_variable(g: RingElement) -> bool:

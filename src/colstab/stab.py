@@ -23,7 +23,7 @@ from .ring import (
     RingDescriptor,
     RingElement,
     _two_variable,
-    c_adic_decompose,
+    c_heads,
     delta_split_linear,
     delta_split_quadratic,
     format_element,
@@ -144,16 +144,26 @@ class ReductionParts:
         return self.pole + (identity(self.pole.ring, 2) + inner).scale(c3)
 
 
+def _reduction_heads(n: Mat) -> tuple[Mat, Mat, Mat, Mat]:
+    """A reduced numerator minus c3 times the identity, and its heads 0, 1
+    and 2 along c3 entrywise: the pole, order0 and order1."""
+    diff = n - identity(n.ring, 2).scale(n.ring.c(3))
+    heads = [[c_heads(x, 3, 3) for x in row] for row in diff.rows]
+    return (diff,) + tuple(
+        Mat([[h[level] for h in row] for row in heads]) for level in range(3)
+    )
+
+
 def r_decompose(n: Mat) -> ReductionParts:
     """Entrywise split of a reduced numerator minus c3 times the identity:
     heads 0, 1 and 2 along c3 are the pole, order0 and order1."""
-    diff = n - identity(n.ring, 2).scale(n.ring.c(3))
-    decs = [[c_adic_decompose(x, 3, 3) for x in row] for row in diff.rows]
-    # Per entry: heads 0, 1, 2 and the tail.
-    levels = [[dec.heads + (dec.tail,) for dec in row] for row in decs]
-    return ReductionParts(
-        *(Mat([[x[k] for x in row] for row in levels]) for k in range(4))
-    )
+    diff, pole, order0, order1 = _reduction_heads(n)
+    c3 = n.ring.c(3)
+    rest = diff - pole - (order0 + order1.scale(c3)).scale(c3)
+    # Exact: the heads are taken off, so c3^3 divides what is left.
+    cube = c3 * c3 * c3
+    tail = rest.map(lambda x: x.divide_exact(cube))
+    return ReductionParts(pole, order0, order1, tail)
 
 
 @dataclass(frozen=True)
@@ -199,11 +209,11 @@ def residues(a: StabMatrix) -> ResidueQuadruple:
     ``residues_closed_form``; the verification suites cross-check the two.
     """
     block = annihilator_block(a.ring)
-    parts = r_decompose(reduce(a))
-    alpha = _solve_multiple(parts.pole, block)
-    beta = _solve_multiple(parts.order0 * block, block)
-    gamma = _solve_multiple(block * parts.order0, block)
-    delta = _solve_multiple(block * parts.order1 * block, block)
+    _, pole, order0, order1 = _reduction_heads(reduce(a))
+    alpha = _solve_multiple(pole, block)
+    beta = _solve_multiple(order0 * block, block)
+    gamma = _solve_multiple(block * order0, block)
+    delta = _solve_multiple(block * order1 * block, block)
     return ResidueQuadruple(alpha, beta, gamma, delta)
 
 
@@ -214,16 +224,12 @@ def residues_closed_form(a: StabMatrix) -> ResidueQuadruple:
     c1, c2 = ring.c(1), ring.c(2)
     diff = a.mat - identity(ring, 3)
 
-    def heads(i: int, j: int):
-        dec = c_adic_decompose(diff[i, j], 3, 2)
-        return dec.heads[0], dec.heads[1]
-
-    a11_0, a11_1 = heads(0, 0)
-    a12_0, a12_1 = heads(0, 1)
-    a21_0, a21_1 = heads(1, 0)
-    a22_0, a22_1 = heads(1, 1)
-    a31_0, a31_1 = heads(2, 0)
-    a32_0, a32_1 = heads(2, 1)
+    a11_0, a11_1 = c_heads(diff[0, 0], 3, 2)
+    a12_0, a12_1 = c_heads(diff[0, 1], 3, 2)
+    a21_0, a21_1 = c_heads(diff[1, 0], 3, 2)
+    a22_0, a22_1 = c_heads(diff[1, 1], 3, 2)
+    a31_0, a31_1 = c_heads(diff[2, 0], 3, 2)
+    a32_0, a32_1 = c_heads(diff[2, 1], 3, 2)
     try:
         alpha = (-a31_0).divide_exact(c2)
         alpha_check = a32_0.divide_exact(c1)
@@ -491,15 +497,10 @@ def preimage(
 def in_H(a: StabMatrix) -> bool:
     """Membership in the explicit kernel subgroup: the matrix minus identity has
     first two columns divisible by c3^2 and last column divisible by c3."""
-    ring = a.ring
-    c3 = ring.c(3)
-    c3_sq = c3 * c3
-    diff = a.mat - identity(ring, 3)
-    for i in range(3):
-        for j in range(3):
-            divisor = c3 if j == 2 else c3_sq
-            try:
-                diff[i, j].divide_exact(divisor)
-            except NotDivisibleError:
-                return False
-    return True
+    diff = a.mat - identity(a.ring, 3)
+    # c3^t divides x exactly when the first t heads of x along c3 vanish.
+    return not any(
+        any(c_heads(x, 3, 1 if j == 2 else 2))
+        for row in diff.rows
+        for j, x in enumerate(row)
+    )

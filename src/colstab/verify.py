@@ -15,6 +15,7 @@ from .matrix import Mat, identity, transvection
 from .ring import (
     ColstabError,
     Mode,
+    OutOfRangeError,
     RingDescriptor,
     c_adic_decompose,
     delta_split_linear,
@@ -338,10 +339,21 @@ SUITES = {
 }
 
 
+# The suites that take rho of stabilizers drawn over every variable of the
+# ring, and "all", which runs them.
+_THREE_VARIABLE_SUITES = ("homomorphism", "triangular", "all")
+
+
 def run_suite(name, ring, trials, seed):
     """Run one suite, or every suite in order for ``"all"``."""
     if trials < 1:
         raise ColstabError(f"trials must be at least 1, got {trials}")
+    if name in _THREE_VARIABLE_SUITES and ring.nvars != 3:
+        raise OutOfRangeError(
+            f"suite {name!r} needs a three-variable ring, got {ring.nvars} variables: "
+            "rho takes stabilizers of (c1, c2, c3) over a1, a2, a3 to the "
+            "two-variable congruence scheme"
+        )
     if name == "all":
         results = []
         for key in SUITES:

@@ -285,6 +285,23 @@ def test_verify_rejects_vacuous_runs(capsys, trials):
     assert payload["error"] == "domain"
     assert "ok" not in payload
 
+@pytest.mark.parametrize("suite", ["all", "homomorphism", "triangular"])
+def test_rho_suites_need_a_three_variable_ring(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--nvars", "4", "--trials", "1")
+    payload = json.loads(out)
+    assert code == 3
+    assert payload["error"] == "domain"
+    assert f"suite {suite!r} needs a three-variable ring" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "suite", ["decomposition", "stab2", "relations", "determinant", "preimage", "kernel"]
+)
+def test_other_suites_run_at_four_variables(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--nvars", "4", "--trials", "1")
+    assert code == 0
+    assert json.loads(out)["ok"]
+
 _HUGE_RING_IDENTITY = json.dumps(
     {
         "ring": {"mode": "polynomial", "nvars": 64000},

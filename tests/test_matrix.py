@@ -5,6 +5,7 @@ import pytest
 
 from colstab import (
     DescriptorMismatchError,
+    ExponentRangeError,
     Mat,
     Mode,
     NotAUnitError,
@@ -20,6 +21,7 @@ from colstab import (
     transvection,
     zeros,
 )
+from colstab.ring import MAX_EXPONENT
 
 from conftest import LAUR3, POLY2, POLY3
 
@@ -109,6 +111,19 @@ def test_adjugate_identity(ring3):
         for _ in range(25):
             a = _random_mat(rng, ring3, n)
             assert a * a.adjugate() == identity(ring3, n).scale(a.det())
+
+
+def test_products_check_exponents_exactly():
+    # Each product below has a span bound past the limit; only the second
+    # carries an exponent past it.
+    ring = LAUR3
+    top = ring.monomial(1, [MAX_EXPONENT, 0, 0])
+    low = ring.monomial(1, [-MAX_EXPONENT, 1, 0])
+    assert (Mat([[top, ring.one]]) * Mat([[low], [top]]))[0, 0] == ring.var(2) + top
+    with pytest.raises(ExponentRangeError):
+        Mat([[top, ring.one]]) * Mat([[ring.var(1)], [top]])
+    with pytest.raises(ExponentRangeError):
+        Mat([[top, ring.zero], [ring.zero, ring.var(1)]]).det()
 
 
 def test_inverse_requires_unit_determinant(ring3):

@@ -4,16 +4,21 @@
 must give the same exponent-tuple terms, the same printed text and the same
 errors in both, apart from inputs the packed parser rejects and the tuple
 parser did not: exponents beyond ``MAX_EXPONENT`` and zero denominators.
+The division-free heads ``c_heads`` are checked against the tuple kernel's
+``c_adic_decompose``, and the fused matrix products, determinants and
+adjugates against sums of tuple-kernel element products.
 """
 
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_ring as ref
+from colstab.matrix import Mat
 from colstab.ring import (
     MAX_EXPONENT,
     Coeff,
@@ -24,6 +29,7 @@ from colstab.ring import (
     RingElement,
     _divide_c,
     c_adic_decompose,
+    c_heads,
     format_element,
     parse_element,
 )
@@ -111,6 +117,76 @@ def test_specialize_and_division_match_the_tuple_kernel(data):
     for head, head_ref in zip(dec.heads, dec_ref.heads, strict=True):
         same(head, head_ref)
     same(dec.tail, dec_ref.tail)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_c_heads_match_the_tuple_kernel(data):
+    rings_ = data.draw(rings())
+    ring, _ = rings_
+    g, g_ref = pair(data.draw, rings_)
+    k = data.draw(st.integers(1, min(3, ring.nvars)))
+    t = data.draw(st.integers(1, 6))
+    heads = c_heads(g, k, t)
+    for head, head_ref in zip(heads, ref.c_adic_decompose(g_ref, k, t).heads, strict=True):
+        same(head, head_ref)
+
+
+def test_c_heads_at_depth_64_of_far_exponents():
+    # a3^e = (1 + c3)^e, so head i is C(n, i) + C(-n, i), where
+    # C(-n, i) = (-1)^i C(n + i - 1, i).  Division would build a dense
+    # column of 400,000 terms at each of the 64 depths.
+    ring = RingDescriptor(Mode.LAURENT, 3)
+    n = 200000
+    heads = c_heads(ring.parse(f"a3^-{n} + a3^{n}"), 3, 64)
+    assert heads == tuple(
+        ring.const(comb(n, i) + (-1) ** i * comb(n + i - 1, i)) for i in range(64)
+    )
+
+
+def _ref_det(rows):
+    """Cofactor expansion along the first column in tuple-kernel arithmetic."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = rows[0][0].ring.zero
+    for i, row in enumerate(rows):
+        term = row[0] * _ref_det([r[1:] for k, r in enumerate(rows) if k != i])
+        acc = acc - term if i % 2 else acc + term
+    return acc
+
+
+def _ref_adjugate(rows):
+    n = len(rows)
+    if n == 1:
+        return [[rows[0][0].ring.one]]
+
+    def cofactor(i, j):
+        m = _ref_det([r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i])
+        return -m if (i + j) % 2 else m
+
+    return [[cofactor(j, i) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fused_matrix_kernels_match_the_tuple_kernel(data):
+    rings_ = data.draw(rings())
+    n = data.draw(st.integers(1, 3))
+    pairs = [[[pair(data.draw, rings_) for _ in range(n)] for _ in range(n)] for _ in range(2)]
+    a, b = (Mat([[x for x, _ in row] for row in m]) for m in pairs)
+    a_ref, b_ref = ([[x for _, x in row] for row in m] for m in pairs)
+    product = a * b
+    for i in range(n):
+        for j in range(n):
+            want = rings_[1].zero
+            for k in range(n):
+                want = want + a_ref[i][k] * b_ref[k][j]
+            same(product[i, j], want)
+    same(a.det(), _ref_det(a_ref))
+    adjugate, adjugate_ref = a.adjugate(), _ref_adjugate(a_ref)
+    for i in range(n):
+        for j in range(n):
+            same(adjugate[i, j], adjugate_ref[i][j])
 
 
 def _compare_parse(ring, ring_ref, text):

@@ -273,6 +273,26 @@ def test_closed_form_matches_relations_on_samples(ring3):
         assert residues_closed_form(a) == residues(a)
 
 
+def test_heads_only_callers_divide_by_no_c3(ring3, monkeypatch):
+    # The residues, rho and in_H read heads along c3 only; none needs the
+    # quotient by c3 that a tail would.
+    divide_c = colstab.ring._divide_c
+
+    def guarded(g, k):
+        if k == 3:
+            raise AssertionError("divided by c3")
+        return divide_c(g, k)
+
+    monkeypatch.setattr(colstab.ring, "_divide_c", guarded)
+    rng = random.Random(53)
+    for _ in range(8):
+        a = _sample(ring3, rng.getrandbits(32), length=8)
+        rho(a)
+        residues_closed_form(a)
+        residues(a)
+        in_H(a)
+
+
 def test_delta_formula_uses_second_diagonal_head(ring3):
     # The lower-right head, not a repeat of the lower-left one, enters the
     # mixed term; with the lower-left head there the value would differ by
