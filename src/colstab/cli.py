@@ -88,6 +88,8 @@ def _load_document(args) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON document: {exc.msg}", exc.pos)
+    except RecursionError:
+        raise ParseError("bad JSON document: nested too deeply", 0) from None
 
 
 def _load_matrix(args) -> Mat:

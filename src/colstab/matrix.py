@@ -254,11 +254,13 @@ def ring_from_document(doc: dict) -> RingDescriptor:
     try:
         mode = _MODES[doc["mode"]]
         coeff = _COEFFS.get(doc.get("coeff", "int"))
-        nvars = int(doc["nvars"])
-    except (KeyError, TypeError, ValueError) as exc:
+        nvars = doc["nvars"]
+    except (KeyError, TypeError) as exc:
         raise ShapeError(f"bad ring document: {exc}") from exc
     if coeff is None:
         raise ShapeError(f"bad coefficient domain {doc.get('coeff')!r}")
+    if not isinstance(nvars, int) or isinstance(nvars, bool):
+        raise ShapeError(f"'nvars' must be an integer, got {nvars!r}")
     return RingDescriptor(mode, nvars, coeff)
 
 

@@ -18,6 +18,7 @@ variables by ``MAX_NVARS`` and a decomposition depth by ``MAX_DEPTH``.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -359,15 +360,28 @@ class RingElement:
         return result
 
     def __eq__(self, other):
+        if isinstance(other, RingElement):
+            return self.ring is other.ring and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self.ring is other.ring and self._terms == other._terms
+            # A number equals the constant element of that value, in any
+            # coefficient domain; nothing is coerced, so nothing can raise.
+            terms = self._terms
+            if not terms:
+                return other == 0
+            return len(terms) == 1 and terms.get(self.ring._origin) == other
+        return NotImplemented
 
     def __hash__(self):
+        # A constant hashes as its coefficient, so that it agrees with the
+        # number it equals.
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            terms = self._terms
+            if not terms:
+                self._hash = hash(0)
+            elif len(terms) == 1 and self.ring._origin in terms:
+                self._hash = hash(terms[self.ring._origin])
+            else:
+                self._hash = hash(frozenset(terms.items()))
         return self._hash
 
     def __bool__(self):
@@ -662,6 +676,45 @@ def delta_split_quadratic(
 # non-space character, which is an error.
 _TOKEN = re.compile(r"\s*(\d+|a\d+|[+\-*/^]|\S)")
 
+# The canonical text ``format_element`` prints: terms joined by " + " or
+# " - ", the first one optionally led by "-"; a term is a coefficient, a
+# monomial, or both joined by "*"; a monomial is "*"-joined factors aN or
+# aN^e.  Integer rings print no denominators, so their pattern admits none.
+_MONOMIAL = r"a\d+(?:\^-?\d+)?(?:\*a\d+(?:\^-?\d+)?)*"
+
+
+def _canonical(fraction: str) -> re.Pattern:
+    term = rf"(?:\d+{fraction}(?:\*{_MONOMIAL})?|{_MONOMIAL})"
+    return re.compile(rf"-?{term}(?: [+-] {term})*", re.ASCII)
+
+
+_CANONICAL_INT = _canonical("")
+_CANONICAL_RAT = _canonical(r"(?:/\d+)?")
+
+_MEMO_SIZE = 4096
+"""Entries of each monomial memo of the codec, over all rings.  The matrices
+of 400 seeded length-8 tame words per mode, in three variables, hold about
+2.3k-2.4k distinct monomials in the two modes together."""
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _monomial_key(ring: RingDescriptor, text: str) -> tuple[int, int]:
+    """Packed key and span of one monomial's text, read by the general parser."""
+    g = _parse_general(ring, text)
+    (key,) = g._terms
+    return key, g._span
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _monomial_text(ring: RingDescriptor, key: int) -> str:
+    """Printed monomial of a packed key, empty for the exponent vector 0."""
+    factors = []
+    for i, shift in enumerate(ring._shifts, 1):
+        e = ((key >> shift) & _FIELD_MASK) - _BIAS
+        if e:
+            factors.append(f"a{i}" if e == 1 else f"a{i}^{e}")
+    return "*".join(factors)
+
 
 def _fail(text: str, tokens: list, i: int, message: str):
     """Raise the error of the first unexpected character, else ``message`` at token i.
@@ -682,6 +735,56 @@ def parse_element(ring: RingDescriptor, text: str) -> RingElement:
     """Parse the expression grammar: terms joined by '+'/'-', the first may be
     signed; a term is an integer (or p/q) coefficient or a factor, followed by
     '*'-joined factors; a factor is aN or aN^k, k negative in Laurent mode only.
+
+    Canonical text, the form ``format_element`` prints, is checked by one
+    regex and split into terms at its spaces, and each monomial's key comes
+    from a bounded memo that the general parser fills.  All other text, and
+    canonical text that route cannot finish (a monomial the general parser
+    rejects, a zero denominator, a number too long for ``int``), goes to
+    ``_parse_general``, the one authority for the grammar: element, message
+    and position never depend on the route.
+    """
+    rational = ring.coeff is Coeff.RATIONALS
+    canonical = _CANONICAL_RAT if rational else _CANONICAL_INT
+    if isinstance(text, str) and canonical.fullmatch(text):
+        # Canonical text has a space only on each side of a separating sign,
+        # so splitting at spaces alternates terms and signs.
+        negative = text[0] == "-"
+        parts = (text[1:] if negative else text).split(" ")
+        signs = ["-" if negative else "+", *parts[1::2]]
+        one = Fraction(1) if rational else 1
+        origin = ring._origin
+        acc: dict = {}
+        span = 0
+        try:
+            for sign, term in zip(signs, parts[::2]):
+                if term[0] == "a":
+                    coeff, monomial = one, term
+                else:
+                    numerator, _, monomial = term.partition("*")
+                    if rational:
+                        numerator, _, denominator = numerator.partition("/")
+                        coeff = Fraction(int(numerator), int(denominator or 1))
+                    else:
+                        coeff = int(numerator)
+                if monomial:
+                    key, width = _monomial_key(ring, monomial)
+                    if width > span:
+                        span = width
+                else:
+                    key = origin
+                if sign == "-":
+                    coeff = -coeff
+                acc[key] = acc.get(key, 0) + coeff
+        except (ParseError, ValueError, ZeroDivisionError):
+            pass  # the general parser raises the error, with its position
+        else:
+            return _element(ring, {key: c for key, c in acc.items() if c}, span)
+    return _parse_general(ring, text)
+
+
+def _parse_general(ring: RingDescriptor, text: str) -> RingElement:
+    """Parse any text of ``parse_element``'s grammar, or raise its ``ParseError``.
 
     The text is tokenized in one pass and every term is added straight into
     one dict of packed keys.
@@ -778,31 +881,26 @@ def parse_element(ring: RingDescriptor, text: str) -> RingElement:
 
 
 def format_element(g: RingElement) -> str:
-    """Canonical text form: terms in descending lexicographic exponent order."""
+    """Canonical text form: terms in descending lexicographic exponent order,
+    each monomial's text taken from a bounded memo."""
     if g.is_zero:
         return "0"
-    shifts = g.ring._shifts
-    chunks = []
-    for key in sorted(g._terms, reverse=True):
-        coeff = g._terms[key]
-        factors = []
-        for i, shift in enumerate(shifts, 1):
-            e = ((key >> shift) & _FIELD_MASK) - _BIAS
-            if e == 0:
-                continue
-            factors.append(f"a{i}" if e == 1 else f"a{i}^{e}")
-        mono = "*".join(factors)
-        negative = coeff < 0
-        magnitude = -coeff if negative else coeff
-        if mono and magnitude == 1:
-            body = mono
-        elif mono:
-            body = f"{magnitude}*{mono}"
+    ring = g.ring
+    terms = g._terms
+    out = []
+    for key in sorted(terms, reverse=True):
+        coeff = terms[key]
+        if coeff < 0:
+            out.append(" - ")
+            coeff = -coeff
         else:
-            body = str(magnitude)
-        chunks.append((negative, body))
-    negative, body = chunks[0]
-    out = [f"-{body}" if negative else body]
-    for negative, body in chunks[1:]:
-        out.append(f" - {body}" if negative else f" + {body}")
+            out.append(" + ")
+        mono = _monomial_text(ring, key)
+        if not mono:
+            out.append(str(coeff))
+        elif coeff == 1:
+            out.append(mono)
+        else:
+            out.append(f"{coeff}*{mono}")
+    out[0] = "-" if out[0] == " - " else ""
     return "".join(out)

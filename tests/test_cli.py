@@ -168,6 +168,7 @@ _SUBCOMMANDS = [
         (["frobnicate"], None, 2),
         (["check-stab", "--input", _NON_UTF8_FILE], "check-stab", 2),
         (["rho"], "rho", 2),
+        (["check-stab", "--inline", "[" * 100000 + "]" * 100000], "check-stab", 2),
     ],
 )
 def test_malformed_command_lines_exit_with_json(
@@ -302,19 +303,10 @@ def test_other_suites_run_at_four_variables(capsys, suite):
     assert code == 0
     assert json.loads(out)["ok"]
 
-_HUGE_RING_IDENTITY = json.dumps(
-    {
-        "ring": {"mode": "polynomial", "nvars": 64000},
-        "entries": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-    }
-)
+def _identity_in_ring_of(nvars, n=3):
+    entries = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    return json.dumps({"ring": {"mode": "polynomial", "nvars": nvars}, "entries": entries})
 
-_TWO_VARIABLE_IDENTITY = json.dumps(
-    {
-        "ring": {"mode": "polynomial", "nvars": 2},
-        "entries": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-    }
-)
 
 @pytest.mark.parametrize(
     "argv",
@@ -333,13 +325,15 @@ _TWO_VARIABLE_IDENTITY = json.dumps(
          "--depth", str(MAX_DEPTH + 1)],
         ["verify", "--nvars", "64000"],
         ["tame-sample", "--nvars", "64000"],
-        ["check-stab", "--inline", _HUGE_RING_IDENTITY],
+        ["check-stab", "--inline", _identity_in_ring_of(64000)],
     ]
     + [
-        [name, "--inline", _TWO_VARIABLE_IDENTITY]
+        [name, "--inline", _identity_in_ring_of(2)]
         for name in ("check-stab", "residues", "rho", "reduce")
     ]
-    + [["verify", "--nvars", "1"], ["verify", "--suite", "decomposition", "--nvars", "1"]],
+    + [["verify", "--nvars", "1"], ["verify", "--suite", "decomposition", "--nvars", "1"]]
+    # A 1x1 matrix stabilizes no column (exit 1), so exit 3 comes from the ring.
+    + [["check-stab", "--inline", _identity_in_ring_of(v, 1)] for v in (True, 3.7, "3", 3.0)],
     ids=[
         "decompose-nvars-0", "decompose-var-5", "decompose-depth-0",
         "verify-nvars-0", "verify-nvars-2", "tame-sample-nvars-2",
@@ -349,6 +343,8 @@ _TWO_VARIABLE_IDENTITY = json.dumps(
         "verify-nvars-64000", "tame-sample-nvars-64000", "check-stab-doc-nvars-64000",
         "check-stab-doc-nvars-2", "residues-doc-nvars-2", "rho-doc-nvars-2",
         "reduce-doc-nvars-2", "verify-nvars-1", "verify-decomposition-nvars-1",
+        "check-stab-doc-nvars-true", "check-stab-doc-nvars-float",
+        "check-stab-doc-nvars-string", "check-stab-doc-nvars-integral-float",
     ],
 )
 def test_out_of_range_ring_arguments_exit_3_with_json(capsys, argv):

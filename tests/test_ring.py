@@ -45,6 +45,20 @@ def test_descriptors_are_interned():
         POLY3.nvars = 4
 
 
+def test_equality_with_numbers_reads_the_constant_term():
+    rat = RingDescriptor(Mode.LAURENT, 3, Coeff.RATIONALS)
+    assert (POLY3.one == Fraction(1, 2)) is False
+    assert POLY3.one == 1 and POLY3.one == Fraction(1) and rat.one == 1
+    assert POLY3.zero == 0 and POLY3.zero != 1
+    assert rat.const(Fraction(1, 2)) == Fraction(1, 2)
+    assert POLY3.var(1) != 1 and POLY3.var(1) + 1 != 1 and POLY3.var(1) != 0
+    assert LAUR3.parse("a1*a1^-1 + 2") == 3
+    for g, number in [(POLY3.one, 1), (POLY3.zero, 0), (POLY3.const(-5), -5),
+                      (rat.const(Fraction(1, 2)), Fraction(1, 2))]:
+        assert hash(g) == hash(number)
+        assert len({g, number}) == 1
+
+
 # -- codec ----------------------------------------------------------------------
 
 

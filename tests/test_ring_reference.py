@@ -6,7 +6,9 @@ errors in both, apart from inputs the packed parser rejects and the tuple
 parser did not: exponents beyond ``MAX_EXPONENT`` and zero denominators.
 The division-free heads ``c_heads`` are checked against the tuple kernel's
 ``c_adic_decompose``, and the fused matrix products, determinants and
-adjugates against sums of tuple-kernel element products.
+adjugates against sums of tuple-kernel element products.  The parser's route
+for canonical text is checked against ``_parse_general``, the parser every
+other text takes.
 """
 
 import re
@@ -17,9 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import colstab.ring
 import reference_ring as ref
 from colstab.matrix import Mat
 from colstab.ring import (
+    _MEMO_SIZE,
     MAX_EXPONENT,
     Coeff,
     Mode,
@@ -28,6 +32,9 @@ from colstab.ring import (
     RingDescriptor,
     RingElement,
     _divide_c,
+    _monomial_key,
+    _monomial_text,
+    _parse_general,
     c_adic_decompose,
     c_heads,
     format_element,
@@ -252,6 +259,105 @@ def test_zero_denominator_is_a_parse_error_at_the_denominator(text):
     with pytest.raises(ParseError) as err:
         parse_element(ring, text)
     assert err.value.position == text.index("/0") + 1
+
+
+def _same_as_general(ring, text):
+    """``parse_element`` gives ``_parse_general``'s element, span included, or
+    its error with the same message and position."""
+    try:
+        expected = _parse_general(ring, text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_element(ring, text)
+        assert str(err.value) == str(exc)
+        assert err.value.position == exc.position
+        return
+    got = parse_element(ring, text)
+    assert got == expected
+    assert got._span == expected._span
+
+
+@st.composite
+def printed(draw):
+    """Printed elements of every mode and coefficient domain, some exponents at
+    the limits of their range."""
+    ring, _ = draw(rings())
+    low = 0 if ring.mode is Mode.POLYNOMIAL else -MAX_EXPONENT
+    exponent = st.integers(max(low, -3), 3) | st.sampled_from(
+        [e for e in (low, MAX_EXPONENT, MAX_EXPONENT - 1, -MAX_EXPONENT + 1) if e >= low]
+    )
+    exps = st.tuples(*([exponent] * ring.nvars))
+    if ring.coeff is Coeff.RATIONALS:
+        coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+    else:
+        coeffs = st.integers(-12, 12).filter(bool)
+    terms = draw(st.dictionaries(exps, coeffs, max_size=6))
+    return ring, format_element(RingElement(ring, terms))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=printed())
+def test_canonical_route_matches_the_general_parser_on_printed_elements(case):
+    _same_as_general(*case)
+
+
+_THREE_VARIABLE_RINGS = [
+    RingDescriptor(mode, 3, coeff) for mode in Mode for coeff in Coeff
+]
+
+
+@pytest.mark.parametrize(
+    "ring", _THREE_VARIABLE_RINGS, ids=lambda r: f"{r.mode.value}-{r.coeff.value}"
+)
+@pytest.mark.parametrize(
+    "text",
+    [
+        "+a1", "a2*a1", "a1*a1", "a01", "a1^-0", "a1^01",
+        "a4", "a1^-1", f"a1^{MAX_EXPONENT + 1}", f"a1^{MAX_EXPONENT}*a1",
+        "3/0*a1", "1/2", "1" * 5000 + "*a1", "a1^" + "1" * 5000, "a" + "1" * 5000,
+        "2a1", "a1 +a2", "a1  +  a2", "a1 + a2 ", "-0", "3*a1 - 3*a1 + 0",
+        "a1*a1^-1", "a1 - a2^-2*a3 + 5/3", "\u0663*a1",
+    ],
+    ids=[
+        "leading-plus", "unordered", "repeated", "padded-index", "minus-zero-exponent",
+        "padded-exponent", "unknown-variable", "negative-exponent",
+        "exponent-past-limit", "product-past-limit", "zero-denominator",
+        "fraction", "long-coefficient", "long-exponent", "long-index",
+        "no-operator", "unspaced-plus", "double-spaces", "trailing-space",
+        "minus-zero", "cancelling", "inverse-pair", "mixed", "non-ascii-digit",
+    ],
+)
+def test_canonical_route_matches_the_general_parser_near_canonical_text(ring, text):
+    _same_as_general(ring, text)
+
+
+def test_reparsing_printed_text_skips_the_general_parser(monkeypatch):
+    ring = RingDescriptor(Mode.LAURENT, 3, Coeff.RATIONALS)
+    text = format_element(ring.parse("a1^-2*a3 - 5/3*a2^7 + a1*a2*a3 + 4"))
+    calls = []
+
+    def counted(ring, text):
+        calls.append(text)
+        return _parse_general(ring, text)
+
+    monkeypatch.setattr(colstab.ring, "_parse_general", counted)
+    _monomial_key.cache_clear()
+    first = parse_element(ring, text)
+    assert sorted(calls) == ["a1*a2*a3", "a1^-2*a3", "a2^7"]
+    calls.clear()
+    assert parse_element(ring, text) == first
+    assert calls == []
+
+
+def test_monomial_memos_stay_within_their_size():
+    ring = RingDescriptor(Mode.POLYNOMIAL, 2)
+    for e in range(2, _MEMO_SIZE + 100):
+        text = f"a1^{e}*a2 + 1"
+        assert format_element(parse_element(ring, text)) == text
+    for memo in (_monomial_key, _monomial_text):
+        info = memo.cache_info()
+        assert info.maxsize == _MEMO_SIZE
+        assert info.currsize <= _MEMO_SIZE
 
 
 @settings(max_examples=100, deadline=None)
