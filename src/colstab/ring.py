@@ -363,26 +363,28 @@ class RingElement:
         if isinstance(other, RingElement):
             return self.ring is other.ring and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            # A number equals the constant element of that value, in any
-            # coefficient domain; nothing is coerced, so nothing can raise.
-            terms = self._terms
-            if not terms:
-                return other == 0
-            return len(terms) == 1 and terms.get(self.ring._origin) == other
+            # Not coerced, so a number outside the coefficient domain is
+            # unequal rather than an error.
+            value = self._constant()
+            return value is not None and value == other
         return NotImplemented
 
     def __hash__(self):
-        # A constant hashes as its coefficient, so that it agrees with the
-        # number it equals.
         if self._hash is None:
-            terms = self._terms
-            if not terms:
-                self._hash = hash(0)
-            elif len(terms) == 1 and self.ring._origin in terms:
-                self._hash = hash(terms[self.ring._origin])
-            else:
-                self._hash = hash(frozenset(terms.items()))
+            value = self._constant()
+            # A constant hashes as the number it equals.
+            self._hash = (
+                hash(frozenset(self._terms.items())) if value is None else hash(value)
+            )
         return self._hash
+
+    def _constant(self):
+        """The value of a constant element, zero included, else None."""
+        terms = self._terms
+        origin = self.ring._origin
+        if len(terms) > 1 or (terms and origin not in terms):
+            return None
+        return terms.get(origin, 0)
 
     def __bool__(self):
         return bool(self._terms)
@@ -697,12 +699,19 @@ of 400 seeded length-8 tame words per mode, in three variables, hold about
 2.3k-2.4k distinct monomials in the two modes together."""
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _monomial_key(ring: RingDescriptor, text: str) -> tuple[int, int]:
+def _read_monomial(ring: RingDescriptor, text: str) -> tuple[int, int]:
     """Packed key and span of one monomial's text, read by the general parser."""
     g = _parse_general(ring, text)
     (key,) = g._terms
     return key, g._span
+
+
+# A printed factor takes at most 16 characters, "*" included, so a longer
+# monomial text is not printer output; the parser reads it through
+# _read_monomial and the memo never holds it.  That bounds the memo in bytes
+# as well as in entries.
+_PRINTED_FACTOR_CHARS = 16
+_monomial_key = functools.lru_cache(maxsize=_MEMO_SIZE)(_read_monomial)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -754,6 +763,7 @@ def parse_element(ring: RingDescriptor, text: str) -> RingElement:
         signs = ["-" if negative else "+", *parts[1::2]]
         one = Fraction(1) if rational else 1
         origin = ring._origin
+        printed = _PRINTED_FACTOR_CHARS * ring.nvars
         acc: dict = {}
         span = 0
         try:
@@ -768,7 +778,8 @@ def parse_element(ring: RingDescriptor, text: str) -> RingElement:
                     else:
                         coeff = int(numerator)
                 if monomial:
-                    key, width = _monomial_key(ring, monomial)
+                    read = _monomial_key if len(monomial) <= printed else _read_monomial
+                    key, width = read(ring, monomial)
                     if width > span:
                         span = width
                 else:

@@ -360,6 +360,14 @@ def test_monomial_memos_stay_within_their_size():
         assert info.currsize <= _MEMO_SIZE
 
 
+def test_monomial_memo_keeps_no_text_longer_than_a_printed_monomial():
+    ring = RingDescriptor(Mode.POLYNOMIAL, 3)
+    _monomial_key.cache_clear()
+    for e in range(50):
+        assert parse_element(ring, "a1*" * 200 + f"a2^{e}") == ring.parse(f"a1^200*a2^{e}")
+    assert _monomial_key.cache_info().currsize == 50  # the short texts only
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_products_match_sympy(data):
