@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .matrix import Mat, NotAUnitError, identity, mat_to_document, transvection
+from .matrix import Mat, NotAUnitError, _dot, identity, mat_to_document, transvection
 from .ring import (
     ColstabError,
     NotDivisibleError,
@@ -76,8 +76,9 @@ class StabMatrix:
     """A 3x3 matrix certified to fix the column and to have unit determinant.
 
     Built only by ``check_stab``, which checks both properties; by ``__mul__``
-    and ``inverse``, which preserve them; and by construction, for the identity
-    in ``eval_word`` and the tame generators ``gen_T`` and ``gen_S``.
+    and ``inverse``, which preserve them; and by construction, for the tame
+    generators ``gen_T`` and ``gen_S`` and for ``eval_word``, which starts
+    from the identity and applies each letter as a column update.
     """
 
     mat: Mat
@@ -123,7 +124,10 @@ def reduce(a: StabMatrix) -> Mat:
     m, ring = a.mat, a.ring
     c3 = ring.c(3)
     return Mat(
-        [[m[i, j] * c3 - ring.c(i + 1) * m[2, j] for j in range(2)] for i in range(2)]
+        [
+            [_dot((m[i, j], ring.c(i + 1)), (c3, m[2, j]), (1, -1)) for j in range(2)]
+            for i in range(2)
+        ]
     )
 
 
@@ -201,19 +205,49 @@ def _solve_multiple(m: Mat, block: Mat) -> RingElement:
     return s
 
 
+def _solve_vector_multiple(w, base) -> RingElement:
+    """The unique scalar s with w = s * base, for a pair base whose first
+    entry is c1 or c2; raises as ``_solve_multiple`` does."""
+    try:
+        s = w[0].divide_exact(base[0])
+    except NotDivisibleError as exc:
+        raise RelationFailedError(f"inexact division in residue relation: {exc}") from exc
+    if w[1] != s * base[1]:
+        raise RelationFailedError("matrix is not a scalar multiple of the block")
+    return s
+
+
 def residues(a: StabMatrix) -> ResidueQuadruple:
     """Residues extracted from the reduction relations: the parts of the
     reduced numerator are fixed multiples of ``annihilator_block``.
 
+    The pole is ``alpha`` times the block; ``order0*block``, ``block*order0``
+    and ``block*order1*block`` are ``beta``, ``gamma`` and ``delta`` times it.
+    The block has rank one, ``u*v^T`` with ``u = (c1, c2)`` and
+    ``v = (c2, -c1)``, and neither vector is zero, so over a domain the middle
+    two relations are the vector relations ``order0*u = beta*u`` and
+    ``v^T*order0 = gamma*v^T``, solved and checked as such.  Since
+    ``block*X*block = (v^T*X*u)*block`` for every X, ``delta`` is
+    ``v^T*order1*u``, the trace of ``order1*block``, and its relation holds
+    whatever order1 is.  Every relation holds on a matrix that fixes the
+    column, so ``RelationFailedError`` comes only from a ``StabMatrix``
+    wrapped around a matrix that does not.
+
     An independent route to the residues that ``rho`` takes from
-    ``residues_closed_form``; the verification suites cross-check the two.
+    ``residues_closed_form``: it reads the c3-heads of ``reduce``, not of the
+    matrix.  The verification suites cross-check the two.
     """
-    block = annihilator_block(a.ring)
+    ring = a.ring
+    c1, c2 = ring.c(1), ring.c(2)
+    u, v = (c1, c2), (c2, -c1)
+    block = annihilator_block(ring)
     _, pole, order0, order1 = _reduction_heads(reduce(a))
     alpha = _solve_multiple(pole, block)
-    beta = _solve_multiple(order0 * block, block)
-    gamma = _solve_multiple(block * order0, block)
-    delta = _solve_multiple(block * order1 * block, block)
+    beta = _solve_vector_multiple([_dot(row, u) for row in order0.rows], u)
+    gamma = _solve_vector_multiple([_dot(v, col) for col in zip(*order0.rows)], v)
+    delta = _dot(
+        [x for row in order1.rows for x in row], [y for col in zip(*block.rows) for y in col]
+    )
     return ResidueQuadruple(alpha, beta, gamma, delta)
 
 
@@ -452,7 +486,8 @@ def preimage(
     word maps onto it, since every tame letter
     maps to a transvection whose lower entry lies in I = (c1^2, c2^2), while
     ``mu*c1*c2`` is ``mu(base)*c1*c2`` modulo I; the report then carries mu
-    as the obstruction.
+    as the obstruction.  mu is decided first, so an obstructed target
+    returns before either factor is lifted.
     """
     ring = b.ring
     if ring.nvars < 3:
@@ -460,22 +495,22 @@ def preimage(
     c1, c2 = ring.c(1), ring.c(2)
 
     base = CongruenceMatrix(_specialize_mat(b.mat, 2))
+    remainder = base.mat.inverse() * b.mat
+    _, mu, _, _ = delta_split_quadratic(remainder[1, 0])
+    if not in_delta(mu, 1):
+        return PreimageReport(
+            status="OBSTRUCTED", stage="transvection-preimage", obstruction=mu
+        )
+
     lift_base, defect = build_preimage_candidate(base)
     assert defect.is_zero
     first = check_stab(lift_base)
-
-    remainder = base.mat.inverse() * b.mat
-    _, mu, _, _ = delta_split_quadratic(remainder[1, 0])
     correction = transvection(ring, 2, 2, 1, -mu * c1 * c2)
     corrected = CongruenceMatrix(remainder * correction)
     lift_corr, defect2 = build_preimage_candidate(corrected)
     assert defect2.is_zero
     second = check_stab(lift_corr)
 
-    if not in_delta(mu, 1):
-        return PreimageReport(
-            status="OBSTRUCTED", stage="transvection-preimage", obstruction=mu
-        )
     from .tame import gen_S  # deferred import; tame builds on this module
 
     # Exact: mu involves variable 1 only and vanishes at the base point.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .matrix import Mat, ShapeError, identity, identity_plus
+from .matrix import Mat, ShapeError, _dot, identity, identity_plus
 from .ring import (
     DescriptorMismatchError,
     Mode,
@@ -107,26 +107,36 @@ def _block_entries(a: RingElement, i: int, j: int) -> dict:
     return {(i, i): diagonal, (i, j): -(aci * ci), (j, i): a * cj * cj, (j, j): -diagonal}
 
 
-def gen_T(ring: RingDescriptor, i: int, j: int, k: int, a) -> StabMatrix:
-    """Row perturbation: identity plus a*c_k at (i, j) minus a*c_j at (i, k).
-    Both entries sit off the diagonal of row i and cancel against the column."""
+def _T_weights(ring: RingDescriptor, i: int, j: int, k: int, a) -> tuple:
+    """a*c_k and a*c_j for the letter T(i, j, k; a), after checking its
+    indices and its parameter."""
     if i in (j, k) or j >= k:
         raise ValueError("indices must satisfy i not in {j, k} and j < k")
     for idx in (i, j, k):
         if not 1 <= idx <= 3:
             raise ValueError("indices must lie in 1..3")
     a = _param(ring, a)
-    return StabMatrix(
-        identity_plus(ring, 3, {(i, j): a * ring.c(k), (i, k): -(a * ring.c(j))})
-    )
+    return a * ring.c(k), a * ring.c(j)
+
+
+def _S_param(ring: RingDescriptor, i: int, j: int, a) -> RingElement:
+    """The parameter of the letter S(i, j; a), after checking its indices."""
+    if not (1 <= i < j <= 3):
+        raise ValueError("indices must satisfy 1 <= i < j <= 3")
+    return _param(ring, a)
+
+
+def gen_T(ring: RingDescriptor, i: int, j: int, k: int, a) -> StabMatrix:
+    """Row perturbation: identity plus a*c_k at (i, j) minus a*c_j at (i, k).
+    Both entries sit off the diagonal of row i and cancel against the column."""
+    ack, acj = _T_weights(ring, i, j, k, a)
+    return StabMatrix(identity_plus(ring, 3, {(i, j): ack, (i, k): -acj}))
 
 
 def gen_S(ring: RingDescriptor, i: int, j: int, a) -> StabMatrix:
     """Embedded one-parameter 2x2 stabilizer acting on rows and columns i, j:
     the identity plus a square-zero block that annihilates (c_i, c_j)."""
-    if not (1 <= i < j <= 3):
-        raise ValueError("indices must satisfy 1 <= i < j <= 3")
-    return StabMatrix(identity_plus(ring, 3, _block_entries(_param(ring, a), i, j)))
+    return StabMatrix(identity_plus(ring, 3, _block_entries(_S_param(ring, i, j, a), i, j)))
 
 
 def stab2(a: RingElement) -> Mat:
@@ -160,11 +170,38 @@ def stab2_param(m: Mat) -> RingElement:
 
 def eval_word(ring: RingDescriptor, word: TameWord) -> StabMatrix:
     """The product of the word's letters; each letter is certified, so the
-    product is too."""
-    result = StabMatrix(identity(ring, 3))
+    product is too.
+
+    The product is kept as its three columns and each letter is applied as a
+    column update, with no letter matrix and no 3x3 product.  Right
+    multiplication by ``T(i, j, k; a)`` adds ``a*c_k`` times column i to
+    column j and subtracts ``a*c_j`` times it from column k.
+    ``S(i, j; a)`` is the identity plus ``a*u*v^T`` with ``u = (c_i, c_j)``
+    and ``v = (c_j, -c_i)`` at rows and columns i, j, so with ``w = a*P*u``
+    for the product P so far it adds ``c_j*w`` to column i and subtracts
+    ``c_i*w`` from column j.  Every updated entry is one fused sum of
+    products; the unchanged column is shared.  Indices and parameters are
+    checked as ``gen_T`` and ``gen_S`` check them.
+    """
+    one = ring.one
+    cols = list(identity(ring, 3).rows)  # the identity's columns are its rows
     for letter in word.letters:
-        result = result * letter.evaluate(ring)
-    return result
+        if letter.kind == "T":
+            i, j, k = letter.indices
+            ack, acj = _T_weights(ring, i, j, k, letter.param)
+            col_i, col_j, col_k = cols[i - 1], cols[j - 1], cols[k - 1]
+            cols[j - 1] = tuple(_dot((x, ack), (one, y)) for x, y in zip(col_j, col_i))
+            cols[k - 1] = tuple(_dot((x, acj), (one, y), (1, -1)) for x, y in zip(col_k, col_i))
+        else:
+            i, j = letter.indices
+            a = _S_param(ring, i, j, letter.param)
+            ci, cj = ring.c(i), ring.c(j)
+            weights = (a * ci, a * cj)
+            col_i, col_j = cols[i - 1], cols[j - 1]
+            w = [_dot(weights, pair) for pair in zip(col_i, col_j)]
+            cols[i - 1] = tuple(_dot((x, cj), (one, y)) for x, y in zip(col_i, w))
+            cols[j - 1] = tuple(_dot((x, ci), (one, y), (1, -1)) for x, y in zip(col_j, w))
+    return StabMatrix(Mat(zip(*cols)))
 
 
 def _random_param(rng: random.Random, ring: RingDescriptor, coeff_bound: int) -> RingElement:

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import strategies as st
 
-from colstab import Mode, RingDescriptor, RingElement
+from colstab import Letter, Mode, RingDescriptor, RingElement, TameWord
+from colstab.tame import S_INDICES, T_INDICES
 
 POLY2 = RingDescriptor(Mode.POLYNOMIAL, 2)
 LAUR2 = RingDescriptor(Mode.LAURENT, 2)
@@ -16,6 +17,26 @@ def elements(ring, max_terms=4, bound=4, max_deg=3):
     coeffs = st.integers(-bound, bound).filter(bool)
     return st.dictionaries(exps, coeffs, max_size=max_terms).map(
         lambda d: RingElement(ring, d)
+    )
+
+
+def words(ring, max_length=10, max_param_terms=8):
+    """Strategy producing tame words of length 0..max_length over every T and
+    S index tuple, with parameters drawn from the whole ring, zero included.
+
+    The parameters of a word hold at most max_param_terms terms together:
+    entry sizes grow with every term, and a length-10 word of two-term
+    parameters over four Laurent variables with rational coefficients takes
+    up to 18 s to evaluate twice."""
+    params = elements(ring, max_terms=2, bound=3, max_deg=1)
+    letters = st.one_of(
+        st.builds(Letter, st.just("T"), st.sampled_from(T_INDICES), params),
+        st.builds(Letter, st.just("S"), st.sampled_from(S_INDICES), params),
+    )
+    return (
+        st.lists(letters, max_size=max_length)
+        .filter(lambda ls: sum(len(letter.param.terms) for letter in ls) <= max_param_terms)
+        .map(lambda ls: TameWord(tuple(ls)))
     )
 
 

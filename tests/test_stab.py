@@ -46,9 +46,12 @@ from colstab import (
 )
 from colstab.stab import (
     CandidateSplits,
+    RelationFailedError,
     ResidueQuadruple,
     SearchBudget,
     StabMatrix,
+    _reduction_heads,
+    _solve_multiple,
     candidate_from_splits,
     matrix_from_splits,
 )
@@ -58,7 +61,7 @@ from colstab.tame import S_INDICES, T_INDICES
 from colstab.verify import _random_element
 
 import reference_ring as ref
-from conftest import LAUR3, POLY3
+from conftest import LAUR3, POLY3, elements, words
 
 
 def _sample(ring, seed, length=6):
@@ -271,6 +274,94 @@ def test_closed_form_matches_relations_on_samples(ring3):
     for seed in range(40):
         a = _sample(ring3, seed, length=8)
         assert residues_closed_form(a) == residues(a)
+
+
+def _dense_residues(a):
+    """The relations route as dense 2x2 block products: the reduced numerator
+    entry by entry, then order0*block, block*order0 and block*order1*block
+    each solved as a multiple of the block."""
+    m, ring = a.mat, a.ring
+    c3 = ring.c(3)
+    numerator = Mat(
+        [[m[i, j] * c3 - ring.c(i + 1) * m[2, j] for j in range(2)] for i in range(2)]
+    )
+    block = annihilator_block(ring)
+    _, pole, order0, order1 = _reduction_heads(numerator)
+    products = (pole, order0 * block, block * order0, block * order1 * block)
+    return ResidueQuadruple(*(_solve_multiple(x, block) for x in products))
+
+
+def _outcome(route, a):
+    """The residues of a by a route, or the message of its RelationFailedError."""
+    try:
+        return route(a)
+    except RelationFailedError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("ring", [POLY3, LAUR3], ids=["polynomial", "laurent"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_residues_match_the_dense_route_on_words(ring, data):
+    a = eval_word(ring, data.draw(words(ring)))
+    q = residues(a)
+    assert q == _dense_residues(a)
+    assert q == residues_closed_form(a)
+
+
+def _syzygy_row(p, q, r):
+    """A row with zero product against the column (c1, c2, c3)."""
+    c1, c2, c3 = (p.ring.c(k) for k in (1, 2, 3))
+    return [p * c2 + q * c3, -p * c1 + r * c3, -q * c1 - r * c2]
+
+
+@pytest.mark.parametrize("ring", [POLY3, LAUR3], ids=["polynomial", "laurent"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_column_fixing_matrix_satisfies_the_relations(ring, data):
+    # The identity plus rows that annihilate the column, whatever its
+    # determinant: the relations hold, so all three routes agree.
+    coords = data.draw(st.lists(elements(ring, max_terms=2, max_deg=2), min_size=9, max_size=9))
+    rows = [_syzygy_row(*coords[3 * r : 3 * r + 3]) for r in range(3)]
+    m = identity(ring, 3) + Mat(rows)
+    assert m.apply_column(column(ring)) == column(ring)
+    a = StabMatrix(m)
+    assert residues(a) == _dense_residues(a) == residues_closed_form(a)
+
+
+def _broken(ring, entries):
+    """The identity with 1-based entries increased, wrapped uncertified."""
+    return StabMatrix(identity_plus(ring, 3, entries))
+
+
+def test_residues_fail_as_the_dense_route_does(ring3):
+    one, c2 = ring3.one, ring3.c(2)
+    inexact = "inexact division in residue relation: not divisible by "
+    not_multiple = "matrix is not a scalar multiple of the block"
+    cases = [
+        ({(3, 1): one}, inexact + "c2"),  # alpha
+        ({(3, 1): c2, (3, 2): one}, not_multiple),  # alpha
+        ({(1, 2): one}, inexact + "c1"),  # beta
+        ({(1, 1): one}, not_multiple),  # beta
+    ]
+    for entries, message in cases:
+        a = _broken(ring3, entries)
+        assert _outcome(residues, a) == _outcome(_dense_residues, a) == message
+
+
+@pytest.mark.parametrize("ring", [POLY3, LAUR3], ids=["polynomial", "laurent"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_residues_fail_as_the_dense_route_does_on_any_matrix(ring, data):
+    entries = data.draw(
+        st.dictionaries(
+            st.tuples(st.integers(1, 3), st.integers(1, 3)),
+            elements(ring, max_terms=2, max_deg=2),
+            max_size=4,
+        )
+    )
+    a = _broken(ring, entries)
+    assert _outcome(residues, a) == _outcome(_dense_residues, a)
 
 
 def test_heads_only_callers_divide_by_no_c3(ring3, monkeypatch):
@@ -586,6 +677,26 @@ def test_correction_parameter_involves_variable_1_only(ring3):
         assert mu.free_of(2) and mu.free_of(3)
         if in_delta(mu, 1):
             assert mu.divide_exact(c1) * c1 == mu
+
+
+def test_obstructed_preimage_lifts_nothing(ring3, monkeypatch):
+    calls = []
+
+    def counted(name):
+        original = getattr(colstab.stab, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("check_stab", "canonical_splits", "candidate_from_splits"):
+        monkeypatch.setattr(colstab.stab, name, counted(name))
+    target = CongruenceMatrix(transvection(ring3, 2, 2, 1, ring3.c(1) * ring3.c(2)))
+    report = preimage(target)
+    assert report.status == "OBSTRUCTED" and report.stage == "transvection-preimage"
+    assert calls == []
 
 
 def test_search_budget_is_inert(ring3):

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import colstab
 from colstab import (
     Coeff,
     DescriptorMismatchError,
@@ -26,10 +28,11 @@ from colstab import (
     stab2,
     stab2_param,
 )
+from colstab.ring import OutOfRangeError
 from colstab.stab import CongruenceMatrix
 from colstab.tame import S_INDICES, T_INDICES
 
-from conftest import LAUR2, LAUR3, POLY2, POLY3
+from conftest import LAUR2, LAUR3, POLY2, POLY3, words
 
 
 def _random_element(rng, ring, max_terms=2, bound=3):
@@ -226,6 +229,82 @@ def test_eval_word_matches_certified_letter_product(ring3):
         a = eval_word(ring3, word)
         assert a.mat == check_stab(_letter_product(ring3, word)).mat
         assert a.mat.det().is_unit()
+
+
+_WORD_RINGS = [
+    RingDescriptor(mode, nvars, coeff)
+    for mode in Mode
+    for coeff in Coeff
+    for nvars in (3, 4)
+]
+
+
+@pytest.mark.parametrize(
+    "ring", _WORD_RINGS, ids=lambda r: f"{r.mode.value}-{r.coeff.value}-{r.nvars}"
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_eval_word_equals_the_letter_product(ring, data):
+    word = data.draw(words(ring))
+    assert eval_word(ring, word).mat == _letter_product(ring, word)
+
+
+def _raised(build):
+    with pytest.raises(Exception) as err:
+        build()
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize(
+    "letter, ring",
+    [
+        (Letter("T", (1, 1, 2), POLY3.one), POLY3),
+        (Letter("T", (2, 3, 1), POLY3.one), POLY3),
+        (Letter("T", (1, 2, 4), POLY3.one), POLY3),
+        (Letter("S", (2, 1), POLY3.one), POLY3),
+        (Letter("S", (1, 4), POLY3.one), POLY3),
+        (Letter("T", (1, 2, 3), POLY2.var(1)), POLY3),
+        (Letter("S", (1, 3), LAUR3.var(1)), POLY3),
+        (Letter("T", (3, 1, 2), "a1"), POLY3),
+        (Letter("S", (2, 3), 1.5), LAUR3),
+        (Letter("T", (1, 2, 3), POLY2.one), POLY2),
+        (Letter("S", (2, 3), POLY2.one), POLY2),
+    ],
+    ids=[
+        "T-repeated-index",
+        "T-unordered",
+        "T-index-4",
+        "S-unordered",
+        "S-index-4",
+        "T-other-ring",
+        "S-other-ring",
+        "T-string",
+        "S-float",
+        "T-two-variables",
+        "S-two-variables",
+    ],
+)
+def test_eval_word_raises_as_the_letter_does(letter, ring):
+    expected = _raised(lambda: letter.evaluate(ring))
+    assert expected[0] in (ValueError, OutOfRangeError, ShapeError, DescriptorMismatchError)
+    lead = Letter("S", (1, 2), ring.one)
+    assert _raised(lambda: eval_word(ring, TameWord((lead, letter)))) == expected
+
+
+def test_eval_word_builds_no_letter_matrix(ring3, monkeypatch):
+    checked = [sample_tame(ring3, 2000 + seed, 8) for seed in range(4)]
+    tuples = [("T", idx) for idx in T_INDICES] + [("S", idx) for idx in S_INDICES]
+    checked.append(TameWord(tuple(Letter(kind, idx, ring3.var(1)) for kind, idx in tuples)))
+    expected = [_letter_product(ring3, word) for word in checked]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eval_word built a letter matrix or a matrix product")
+
+    monkeypatch.setattr(colstab.tame, "gen_T", forbidden)
+    monkeypatch.setattr(colstab.tame, "gen_S", forbidden)
+    monkeypatch.setattr(Letter, "evaluate", forbidden)
+    monkeypatch.setattr(Mat, "__mul__", forbidden)
+    assert [eval_word(ring3, word).mat for word in checked] == expected
 
 
 def test_eval_word_determinant_against_sympy(ring3):
