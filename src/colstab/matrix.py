@@ -180,6 +180,10 @@ def _dot(row, col, signs=None):
         elif len(small) > len(large):
             small, large = large, small
         span = max(span, bound)
+        if not acc and sign > 0 and len(small) == 1 and small.get(origin) == 1:
+            # The first product is by one: copy the other factor's terms.
+            acc.update(large)
+            continue
         for k1, c1 in small.items():
             k1 -= origin
             if sign < 0:

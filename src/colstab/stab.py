@@ -521,9 +521,12 @@ def preimage(
         return PreimageReport(
             status="OBSTRUCTED", stage="verification", obstruction=mu
         )
+    # det(result) = det(b), with no 3x3 expansion: each lift's determinant is
+    # that of its 2x2 source, as both defects are zero; the correction and
+    # the S letter have determinant 1; and base * remainder = b.
     transcript = {
         "image_matches": True,
-        "determinant": format_element(result.mat.det()),
+        "determinant": format_element(b.mat.det()),
         "rho": [[format_element(x) for x in row] for row in image.mat.rows],
     }
     return PreimageReport(status="SUCCESS", preimage=result, transcript=transcript)

@@ -24,7 +24,7 @@ from colstab import (
     parse_element,
 )
 
-from colstab.ring import MAX_EXPONENT
+from colstab.ring import MAX_EXPONENT, _c_power_factors
 from conftest import LAUR2, LAUR3, POLY2, POLY3, elements
 
 
@@ -243,6 +243,14 @@ def test_divisor_must_be_c_product():
     for ring in (POLY3, LAUR3):
         with pytest.raises(NotDivisibleError):
             ring.var(1).divide_exact(ring.zero)
+
+
+@pytest.mark.parametrize("divisor", ["a1", 1.5, None, [1]], ids=repr)
+def test_divisor_of_another_type_is_a_type_error(divisor):
+    before = _c_power_factors.cache_info()
+    with pytest.raises(TypeError, match=f"not {type(divisor).__name__}$"):
+        POLY3.var(1).divide_exact(divisor)
+    assert _c_power_factors.cache_info() == before
 
 
 @pytest.mark.parametrize("ring", [POLY3, LAUR3], ids=["polynomial", "laurent"])

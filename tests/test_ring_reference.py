@@ -11,9 +11,10 @@ for canonical text is checked against ``_parse_general``, the parser every
 other text takes.
 """
 
+import itertools
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +27,13 @@ from colstab.ring import (
     _MEMO_SIZE,
     MAX_EXPONENT,
     Coeff,
+    DescriptorMismatchError,
     Mode,
     NotDivisibleError,
     ParseError,
     RingDescriptor,
     RingElement,
+    _c_power_factors,
     _divide_c,
     _monomial_key,
     _monomial_text,
@@ -174,12 +177,21 @@ def _ref_adjugate(rows):
     return [[cofactor(j, i) for j in range(n)] for i in range(n)]
 
 
+def entry(draw, rings_):
+    """A matrix entry, one in four times a unit, whose products the fused
+    kernels take as copies."""
+    if draw(st.integers(0, 3)):
+        return pair(draw, rings_)
+    sign = draw(st.sampled_from([1, -1]))
+    return tuple(ring.const(sign) for ring in rings_)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_fused_matrix_kernels_match_the_tuple_kernel(data):
     rings_ = data.draw(rings())
     n = data.draw(st.integers(1, 3))
-    pairs = [[[pair(data.draw, rings_) for _ in range(n)] for _ in range(n)] for _ in range(2)]
+    pairs = [[[entry(data.draw, rings_) for _ in range(n)] for _ in range(n)] for _ in range(2)]
     a, b = (Mat([[x for x, _ in row] for row in m]) for m in pairs)
     a_ref, b_ref = ([[x for _, x in row] for row in m] for m in pairs)
     product = a * b
@@ -366,6 +378,86 @@ def test_monomial_memo_keeps_no_text_longer_than_a_printed_monomial():
     for e in range(50):
         assert parse_element(ring, "a1*" * 200 + f"a2^{e}") == ring.parse(f"a1^200*a2^{e}")
     assert _monomial_key.cache_info().currsize == 50  # the short texts only
+
+
+def c_products(ring):
+    """Products of the c_k, each to at most the cube."""
+    c = [ring.c(k) for k in range(1, ring.nvars + 1)]
+    exps = st.tuples(*([st.integers(0, 3)] * ring.nvars))
+    return exps.map(lambda e: prod((ck**ek for ck, ek in zip(c, e)), start=ring.one))
+
+
+def divisors(ring):
+    """c-power products, and elements that are none: zero, units, constants,
+    sums and products with a variable (in Laurent mode a_k = 1 + c_k)."""
+    c1, c2 = ring.c(1), ring.c(2)
+    others = [ring.zero, ring.one, -ring.one, ring.const(2), c1 + c2, c1 * ring.var(2)]
+    if ring.mode is Mode.LAURENT:
+        others += [ring.var(k) for k in range(1, ring.nvars + 1)]
+    return st.one_of(c_products(ring), st.sampled_from(others))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_divide_exact_matches_the_tuple_kernel(data):
+    mode = data.draw(st.sampled_from(list(Mode)))
+    coeff = data.draw(st.sampled_from(list(Coeff)))
+    nvars = data.draw(st.integers(3, 4))
+    rings_ = RingDescriptor(mode, nvars, coeff), ref.RingDescriptor(mode, nvars, coeff)
+    ring, ring_ref = rings_
+    g, g_ref = pair(data.draw, rings_)
+    d = data.draw(divisors(ring))
+    # A multiple of a c-power product is divisible by some of its divisors.
+    m = data.draw(c_products(ring))
+    num, num_ref = g * m, g_ref * ref.RingElement(ring_ref, m.terms)
+    if d.is_zero:  # the tuple kernel divides zero by c_k forever
+        with pytest.raises(NotDivisibleError, match="^divisor is not a product of c_i powers$"):
+            num.divide_exact(d)
+        return
+    try:
+        expected = num_ref.divide_exact(ref.RingElement(ring_ref, d.terms))
+    except NotDivisibleError as exc:
+        with pytest.raises(NotDivisibleError, match=f"^{re.escape(str(exc))}$"):
+            num.divide_exact(d)
+    else:
+        same(num.divide_exact(d), expected)
+
+
+def test_divisor_from_another_ring_is_a_mismatch():
+    polynomial = RingDescriptor(Mode.POLYNOMIAL, 3)
+    for other in (
+        RingDescriptor(Mode.LAURENT, 3),
+        RingDescriptor(Mode.POLYNOMIAL, 4),
+        RingDescriptor(Mode.POLYNOMIAL, 3, Coeff.RATIONALS),
+    ):
+        d = other.c(1)
+        assert d.divide_exact(d) == other.one  # the memo now holds d
+        with pytest.raises(DescriptorMismatchError, match="different rings"):
+            polynomial.var(1).divide_exact(d)
+
+
+def test_divisor_memo_stays_within_its_size():
+    ring = RingDescriptor(Mode.POLYNOMIAL, 3)
+    maxsize = _c_power_factors.cache_info().maxsize
+    g = ring.parse("a1^9*a2^9*a3^9 + a1^9*a2^9*a3^8")
+    count = 0
+    for exps in itertools.product(range(8), repeat=3):
+        d = ring.monomial(1, exps)
+        assert (g * d).divide_exact(d) == g
+        count += 1
+    assert count > maxsize
+    assert _c_power_factors.cache_info().currsize <= maxsize
+
+
+def test_a_repeated_divisor_is_factored_once():
+    ring = RingDescriptor(Mode.LAURENT, 3)
+    g = ring.parse("a1^2 - a2*a3^-1 + 3")
+    _c_power_factors.cache_clear()
+    for _ in range(5):
+        d = ring.c(1) * ring.c(2) ** 2  # equal, not identical, each time
+        assert (g * d).divide_exact(d) == g
+    info = _c_power_factors.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
 
 
 @settings(max_examples=100, deadline=None)

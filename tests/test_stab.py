@@ -56,9 +56,10 @@ from colstab.stab import (
     matrix_from_splits,
 )
 
-from colstab.ring import _divide_c
+from colstab.matrix import promote
+from colstab.ring import Coeff, _divide_c, format_element
 from colstab.tame import S_INDICES, T_INDICES
-from colstab.verify import _random_element
+from colstab.verify import _random_element, _random_scheme_zero_defect
 
 import reference_ring as ref
 from conftest import LAUR3, POLY3, elements, words
@@ -697,6 +698,26 @@ def test_obstructed_preimage_lifts_nothing(ring3, monkeypatch):
     report = preimage(target)
     assert report.status == "OBSTRUCTED" and report.stage == "transvection-preimage"
     assert calls == []
+
+
+@pytest.mark.parametrize("nvars", [3, 4])
+@pytest.mark.parametrize("coeff", list(Coeff), ids=["int", "rat"])
+@pytest.mark.parametrize("mode", list(Mode), ids=["polynomial", "laurent"])
+def test_transcript_determinant_is_the_cofactor_determinant(mode, coeff, nvars):
+    ring = RingDescriptor(mode, nvars, coeff)
+    # rho needs the stabilizer over three variables; its image is promoted.
+    ring3 = RingDescriptor(mode, 3, coeff)
+    rng = random.Random(37)
+    targets = [CongruenceMatrix(_random_scheme_zero_defect(rng, ring)) for _ in range(8)]
+    for _ in range(8):
+        image = rho(_sample(ring3, rng.getrandbits(32), length=rng.randint(1, 6))).mat
+        targets.append(CongruenceMatrix(promote(image, ring)))
+    if mode is Mode.POLYNOMIAL:
+        targets.append(CongruenceMatrix(cohn_matrix(ring)))
+    for target in targets:
+        report = preimage(target)
+        assert report.ok
+        assert report.transcript["determinant"] == format_element(report.preimage.mat.det())
 
 
 def test_search_budget_is_inert(ring3):
