@@ -2,24 +2,22 @@
 
 Every entry is a ``RingElement`` of one ring.  Sizes here are tiny (2x2 and
 3x3), so determinants go by cofactor expansion and inverses by the adjugate
-divided through a unit determinant.
+divided through a unit determinant.  Each entry of a product, determinant or
+adjugate is one sum of products, taken by the ring's product kernel ``_dot``.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import repeat
 
 from .ring import (
-    MAX_EXPONENT,
     Coeff,
     ColstabError,
-    DescriptorMismatchError,
     Mode,
     RingDescriptor,
     RingElement,
-    _element,
+    _dot,
     format_element,
     parse_element,
 )
@@ -156,42 +154,6 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self!s})"
-
-
-def _dot(row, col, signs=None):
-    """The sum of the products row[i]*col[i], each negated where signs[i] is
-    negative, accumulated term by term in one dict of packed keys."""
-    ring = row[0].ring
-    origin = ring._origin
-    acc = {}
-    get = acc.get
-    span = 0
-    for a, b, sign in zip(row, col, signs or repeat(1)):
-        if a.ring is not ring or b.ring is not ring:
-            raise DescriptorMismatchError("operands live in different rings")
-        small, large = a._terms, b._terms
-        if not small or not large:
-            continue
-        bound = a._span + b._span
-        if bound > MAX_EXPONENT:
-            # The element product checks the exponents of this one exactly.
-            product = a * b
-            small, large, bound = {origin: 1}, product._terms, product._span
-        elif len(small) > len(large):
-            small, large = large, small
-        span = max(span, bound)
-        if not acc and sign > 0 and len(small) == 1 and small.get(origin) == 1:
-            # The first product is by one: copy the other factor's terms.
-            acc.update(large)
-            continue
-        for k1, c1 in small.items():
-            k1 -= origin
-            if sign < 0:
-                c1 = -c1
-            for k2, c2 in large.items():
-                key = k1 + k2
-                acc[key] = get(key, 0) + c1 * c2
-    return _element(ring, {key: c for key, c in acc.items() if c}, span)
 
 
 def _det(rows, sign=1):

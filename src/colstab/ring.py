@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from operator import lshift
 
 MAX_EXPONENT = 1 << 20
@@ -211,6 +212,63 @@ def _element(ring: RingDescriptor, terms: dict, span: int) -> RingElement:
     return g
 
 
+_PLUS = repeat(1)
+
+
+def _dot(row, col, signs=None):
+    """The sum of the products row[i]*col[i], each negated where signs[i] is
+    negative, accumulated term by term in one dict of packed keys.
+
+    This is the package's one sparse product; ``a * b`` is ``_dot((a,), (b,))``.
+    In-range operands leave each field of a summed key within its width, so
+    the exponent range is checked once, on the result: products that cancel
+    never raise.
+    """
+    ring = row[0].ring
+    origin = ring._origin
+    acc = {}
+    span = 0
+    merged = False  # whether two products may have met at one key
+    for a, b, sign in zip(row, col, signs or _PLUS):
+        if a.ring is not ring or b.ring is not ring:
+            raise DescriptorMismatchError("operands live in different rings")
+        small, large = a._terms, b._terms
+        if not small or not large:
+            continue
+        if len(small) > len(large):
+            small, large = large, small
+        bound = a._span + b._span
+        if bound > span:
+            span = bound
+        if not acc and len(small) == 1:
+            # A monomial factor shifts every key, so no two products meet.
+            ((k1, c1),) = small.items()
+            if sign < 0:
+                c1 = -c1
+            if k1 == origin and c1 == 1:
+                acc = dict(large)
+            else:
+                k1 -= origin
+                acc = {k1 + k2: c1 * c2 for k2, c2 in large.items()}
+            continue
+        merged = True
+        get = acc.get
+        for k1, c1 in small.items():
+            k1 -= origin
+            if sign < 0:
+                c1 = -c1
+            for k2, c2 in large.items():
+                key = k1 + k2
+                acc[key] = get(key, 0) + c1 * c2
+    if merged:
+        acc = {key: c for key, c in acc.items() if c}
+    if span > MAX_EXPONENT:
+        span = max((abs(e) for key in acc for e in ring._unpack(key)), default=0)
+        if span > MAX_EXPONENT:
+            raise ExponentRangeError(span)
+    return _element(ring, acc, span)
+
+
 class RingElement:
     """A sparse exact (Laurent) polynomial: a map from exponent vectors to coefficients.
 
@@ -314,36 +372,12 @@ class RingElement:
         return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        ring = self.ring
-        small, large = self._terms, other._terms
-        if len(small) > len(large):
-            small, large = large, small
-        if len(small) == 1:
-            # A monomial factor shifts every key; no two products collide.
-            ((key, coeff),) = small.items()
-            key -= ring._origin
-            acc = {key + k: coeff * c for k, c in large.items()}
-        else:
-            acc = {}
-            get = acc.get
-            origin = ring._origin
-            for k1, c1 in small.items():
-                k1 -= origin
-                for k2, c2 in large.items():
-                    key = k1 + k2
-                    acc[key] = get(key, 0) + c1 * c2
-            acc = {key: c for key, c in acc.items() if c}
-        span = self._span + other._span
-        if span > MAX_EXPONENT:
-            # In-range operands leave every field in range of its width, so
-            # the product's exponents can be read back and checked exactly.
-            span = max((abs(e) for key in acc for e in ring._unpack(key)), default=0)
-            if span > MAX_EXPONENT:
-                raise ExponentRangeError(span)
-        return _element(ring, acc, span)
+        if not isinstance(other, RingElement):
+            # An element operand skips this; _dot checks its ring.
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _dot((self,), (other,))
 
     __rmul__ = __mul__
 

@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .matrix import Mat, NotAUnitError, _dot, identity, mat_to_document, transvection
+from .matrix import Mat, NotAUnitError, identity, mat_to_document, transvection
 from .ring import (
     ColstabError,
     NotDivisibleError,
     RingDescriptor,
     RingElement,
+    _dot,
     _two_variable,
     c_heads,
     delta_split_linear,
@@ -502,13 +503,16 @@ def preimage(
             status="OBSTRUCTED", stage="transvection-preimage", obstruction=mu
         )
 
+    # Both sources have a zero defect by construction, so a nonzero defect,
+    # like an image other than b below, is a fault of this function: it
+    # raises, and is never reported as an obstruction.
     lift_base, defect = build_preimage_candidate(base)
-    assert defect.is_zero
-    first = check_stab(lift_base)
     correction = transvection(ring, 2, 2, 1, -mu * c1 * c2)
     corrected = CongruenceMatrix(remainder * correction)
     lift_corr, defect2 = build_preimage_candidate(corrected)
-    assert defect2.is_zero
+    if defect or defect2:
+        raise RuntimeError(f"preimage: a lift has determinant defect {defect or defect2}")
+    first = check_stab(lift_base)
     second = check_stab(lift_corr)
 
     from .tame import gen_S  # deferred import; tame builds on this module
@@ -518,9 +522,7 @@ def preimage(
 
     image = rho(result)
     if image.mat != b.mat:
-        return PreimageReport(
-            status="OBSTRUCTED", stage="verification", obstruction=mu
-        )
+        raise RuntimeError("preimage: rho of the lift differs from the target")
     # det(result) = det(b), with no 3x3 expansion: each lift's determinant is
     # that of its 2x2 source, as both defects are zero; the correction and
     # the S letter have determinant 1; and base * remainder = b.

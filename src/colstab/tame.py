@@ -11,13 +11,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .matrix import Mat, ShapeError, _dot, identity, identity_plus
+from .matrix import Mat, ShapeError, identity, identity_plus
 from .ring import (
     DescriptorMismatchError,
     Mode,
     NotDivisibleError,
     RingDescriptor,
     RingElement,
+    _dot,
     format_element,
 )
 from .stab import (

@@ -3,7 +3,9 @@
 Copied unchanged from ``colstab/ring.py`` before monomials were packed: the
 descriptor, the element with its arithmetic and ``specialize``, ``_divide_c``,
 ``c_adic_decompose``, the parser and the printer.  Exponent vectors are
-tuples and every arithmetic step builds tuples.  The error and enum types are
+tuples and every arithmetic step builds tuples.  One fault is mended:
+``divide_exact`` rejects a zero divisor up front, as the packed kernel does,
+where the copy divided zero by ``c_k`` forever.  The error and enum types are
 shared with ``colstab.ring`` so results and errors compare directly.
 ``tests/test_ring_reference.py`` compares the two kernels.
 """
@@ -240,6 +242,8 @@ class RingElement:
     def divide_exact(self, d: RingElement) -> RingElement:
         """Exact quotient by a product of c_i powers; NotDivisibleError otherwise."""
         d = self._coerce(d)
+        if d.is_zero:  # c_k divides zero, so the loop below would not end
+            raise NotDivisibleError("divisor is not a product of c_i powers")
         exps = [0] * self.ring.nvars
         rest = d
         for k in range(1, self.ring.nvars + 1):

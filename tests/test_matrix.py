@@ -126,6 +126,18 @@ def test_products_check_exponents_exactly():
         Mat([[top, ring.zero], [ring.zero, ring.var(1)]]).det()
 
 
+def test_fused_sums_check_the_range_of_the_result():
+    # Both products carry a1^(MAX_EXPONENT + 1), and they cancel.
+    ring = LAUR3
+    top = ring.monomial(1, [MAX_EXPONENT, 0, 0])
+    a1 = ring.var(1)
+    assert (Mat([[top, top]]) * Mat([[a1], [-a1]]))[0, 0] == ring.zero
+    with pytest.raises(ExponentRangeError):
+        Mat([[top]]) * Mat([[a1]])
+    with pytest.raises(ExponentRangeError):
+        top * a1
+
+
 def test_inverse_requires_unit_determinant(ring3):
     bad = ring3.one + ring3.var(1)  # two terms, so a unit in neither mode
     m = Mat([[bad, ring3.zero], [ring3.zero, ring3.one]])

@@ -1,11 +1,14 @@
+import ast
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import colstab
 from colstab import (
     Coeff,
     DescriptorMismatchError,
@@ -394,3 +397,31 @@ def test_quadratic_split_reconstructs(ring, data):
     assert d12p.is_zero
     assert d11 * c1 * c1 + (d12 + d12p) * c1 * c2 + d22 * c2 * c2 == delta
     assert d11.free_of(2) and d12.free_of(2)
+
+
+# -- layering -------------------------------------------------------------------
+
+# Attributes of the packed representation, its constructor from packed terms,
+# the one-step division by c_k and the exponent range.
+PACKED = {"_terms", "_span", "_origin", "_element", "_divide_c", "MAX_EXPONENT"}
+
+
+def _names_used(path):
+    """Every attribute, name and imported name in a source file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_only_the_ring_module_reads_packed_terms():
+    package = Path(colstab.__file__).parent
+    assert PACKED <= _names_used(package / "ring.py")
+    for path in sorted(package.glob("*.py")):
+        if path.name != "ring.py":
+            assert not PACKED & _names_used(path), path.name

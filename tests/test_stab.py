@@ -1,4 +1,5 @@
 import ast
+import json
 import random
 import re
 from pathlib import Path
@@ -56,7 +57,8 @@ from colstab.stab import (
     matrix_from_splits,
 )
 
-from colstab.matrix import promote
+from colstab.cli import main
+from colstab.matrix import mat_to_document, promote
 from colstab.ring import Coeff, _divide_c, format_element
 from colstab.tame import S_INDICES, T_INDICES
 from colstab.verify import _random_element, _random_scheme_zero_defect
@@ -698,6 +700,31 @@ def test_obstructed_preimage_lifts_nothing(ring3, monkeypatch):
     report = preimage(target)
     assert report.status == "OBSTRUCTED" and report.stage == "transvection-preimage"
     assert calls == []
+
+
+@pytest.mark.parametrize("fault", ["defect", "image"])
+def test_preimage_faults_raise_and_exit_4(monkeypatch, capsys, fault):
+    # A lift with a nonzero determinant defect, or an image other than the
+    # target, is a fault of preimage, never an obstruction of the input.
+    if fault == "defect":
+        original = colstab.stab.candidate_from_splits
+
+        def faulty(splits):
+            return original(splits)[0], POLY3.one
+
+        monkeypatch.setattr(colstab.stab, "candidate_from_splits", faulty)
+        message = "^preimage: a lift has determinant defect 1$"
+    else:
+        monkeypatch.setattr(colstab.stab, "rho", lambda a: CongruenceMatrix(identity(POLY3, 2)))
+        message = "^preimage: rho of the lift differs from the target$"
+    target = cohn_matrix(POLY3)
+    with pytest.raises(RuntimeError, match=message):
+        preimage(CongruenceMatrix(target))
+    code = main(["preimage", "--inline", json.dumps(mat_to_document(target))])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert payload["error"] == "internal"
+    assert payload["message"] == "RuntimeError: " + message[1:-1]
 
 
 @pytest.mark.parametrize("nvars", [3, 4])
