@@ -8,6 +8,7 @@ adjugate is one sum of products, taken by the ring's product kernel ``_dot``.
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 
@@ -136,18 +137,16 @@ class Mat:
         n = self.nrows
         if n == 1:
             return identity(self.ring, 1)
-        cof = [
-            [_cofactor(self.rows, i, j) for j in range(n)] for i in range(n)
-        ]
-        return Mat([[cof[j][i] for j in range(n)] for i in range(n)])
+        return Mat([[_cofactor(self.rows, j, i) for j in range(n)] for i in range(n)])
 
     def inverse(self) -> Mat:
-        """Adjugate divided through the determinant; raises unless the determinant is a unit."""
-        d = self.det()
+        """Adjugate over the determinant, which its cofactors give; raises unless a unit."""
+        adj = self.adjugate()
+        d = _dot([r[0] for r in self.rows], adj.rows[0])
         witness = d.unit_inverse()
         if witness is None:
             raise NotAUnitError(d)
-        return self.adjugate().scale(witness)
+        return adj.scale(witness)
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(x) for x in r) for r in self.rows) + "]"
@@ -177,7 +176,13 @@ def _cofactor(rows, i, j, sign=1):
 
 
 def identity(ring: RingDescriptor, n: int) -> Mat:
-    return identity_plus(ring, n, {})
+    """The n x n identity, built once per ring and size."""
+    return _identity(ring, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _identity(ring: RingDescriptor, n: int) -> Mat:
+    return Mat([[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)])
 
 
 def zeros(ring: RingDescriptor, nrows: int, ncols: int) -> Mat:
@@ -186,7 +191,7 @@ def zeros(ring: RingDescriptor, nrows: int, ncols: int) -> Mat:
 
 def identity_plus(ring: RingDescriptor, n: int, entries: dict) -> Mat:
     """The n x n identity with each 1-based (i, j) entry increased by its value."""
-    rows = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+    rows = [list(r) for r in _identity(ring, n).rows]
     for (i, j), value in entries.items():
         if not (1 <= i <= n and 1 <= j <= n):
             raise ShapeError(f"entry ({i}, {j}) outside a {n}x{n} matrix")

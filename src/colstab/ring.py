@@ -663,24 +663,29 @@ def c_heads(g: RingElement, k: int, t: int) -> tuple:
 
 
 def in_delta(g: RingElement, p: int) -> bool:
-    """Membership of g in the augmentation ideal (p = 1) or its square (p = 2)."""
+    """Membership of g in the augmentation ideal (p = 1) or its square (p = 2):
+    g and, for p = 2, every linear head ``c_heads(g, k, 2)[1]`` vanish at the
+    base point.  Read off the terms, building no element."""
     if p not in (1, 2):
         raise ValueError("only first and second powers are supported")
-    if not g.specialize_all().is_zero:
-        return False
-    if p == 1:
-        return True
-    # In the square exactly when, along every c_k, the linear head also
-    # vanishes at the base point.
-    return all(
-        c_heads(g, k, 2)[1].specialize_all().is_zero
-        for k in range(1, g.ring.nvars + 1)
+    ring, terms = g.ring, g._terms
+    origin = ring._origin
+    if ring.mode is Mode.POLYNOMIAL:  # no constant term, and for p = 2 no term a_k
+        linear = (origin + (1 << s) for s in ring._shifts)
+        return origin not in terms and (p == 1 or not any(k in terms for k in linear))
+    # A zero coefficient sum; for p = 2 also a zero sum of coefficient times
+    # the field of a_k, its exponent plus a bias that adds bias times zero.
+    items = terms.items()
+    return not sum(terms.values()) and (
+        p == 1 or not any(sum(c * (k >> s & _FIELD_MASK) for k, c in items) for s in ring._shifts)
     )
 
 
 def _two_variable(g: RingElement) -> bool:
-    """Whether g involves only the first two variables."""
-    return all(g.free_of(k) for k in range(3, g.ring.nvars + 1))
+    """Whether g involves only a1 and a2, read through one mask over the fields of a3 on."""
+    mask = (1 << _FIELD_BITS * max(g.ring.nvars - 2, 0)) - 1
+    zero = g.ring._origin & mask
+    return all(key & mask == zero for key in g._terms)
 
 
 def _require_two_variable(g: RingElement) -> None:

@@ -13,10 +13,11 @@ vanishing determinant defect lifts back to an explicit 3x3 stabilizer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .matrix import Mat, NotAUnitError, identity, mat_to_document, transvection
+from .matrix import Mat, NotAUnitError, _cofactor, identity, mat_to_document, transvection
 from .ring import (
     ColstabError,
     NotDivisibleError,
@@ -55,7 +56,12 @@ def column(ring: RingDescriptor, n: int = 3):
 
 
 def annihilator_block(ring: RingDescriptor) -> Mat:
-    """The rank-one, square-zero 2x2 matrix annihilating the column (c1, c2)."""
+    """The rank-one, square-zero 2x2 matrix annihilating (c1, c2), built once per ring."""
+    return _annihilator_block(ring)
+
+
+@functools.lru_cache(maxsize=32)
+def _annihilator_block(ring: RingDescriptor) -> Mat:
     c1, c2 = ring.c(1), ring.c(2)
     return Mat([[c1 * c2, -(c1 * c1)], [c2 * c2, -(c1 * c2)]])
 
@@ -92,7 +98,20 @@ class StabMatrix:
         return StabMatrix(self.mat * other.mat)
 
     def inverse(self) -> "StabMatrix":
-        return StabMatrix(self.mat.inverse())
+        """The inverse from six cofactors; raises ``NotAUnitError`` unless det is a
+        unit.  Relies on the invariant above: as the matrix fixes the column c,
+        its adjugate maps c to det*c, so cofactor row 2 is an exact quotient,
+        ``cof[2][i] = (det*c_i - cof[0][i]*c1 - cof[1][i]*c2) / c3``."""
+        rows = self.mat.rows
+        cof = [[_cofactor(rows, i, j) for j in range(3)] for i in range(2)]
+        det = _dot(rows[0], cof[0])
+        witness = det.unit_inverse()
+        if witness is None:
+            raise NotAUnitError(det)
+        c1, c2, c3 = col = column(self.ring)
+        last = (_dot((det, x, y), (c, c1, c2), (1, -1, -1)) for x, y, c in zip(*cof, col))
+        cof.append([x.divide_exact(c3) for x in last])
+        return StabMatrix(Mat([[row[i] * witness for row in cof] for i in range(3)]))
 
     def __str__(self):
         return str(self.mat)
@@ -295,13 +314,11 @@ def in_scheme(b: Mat) -> bool:
     ideal, lower-left in its square, unit determinant, two-variable entries."""
     if b.nrows != 2 or b.ncols != 2:
         return False
-    ring = b.ring
-    one = ring.one
-    entries = [b[0, 0] - one, b[0, 1], b[1, 0], b[1, 1] - one]
-    if not all(_two_variable(x) for x in entries):
-        return False
+    one = b.ring.one
+    # A constant involves no variable, so the diagonal is tested as it is.
     return (
-        in_delta(b[0, 0] - one, 1)
+        all(_two_variable(x) for row in b.rows for x in row)
+        and in_delta(b[0, 0] - one, 1)
         and in_delta(b[1, 1] - one, 1)
         and in_delta(b[1, 0], 2)
         and b.det().is_unit()
@@ -358,57 +375,34 @@ def candidate_from_splits(splits: CandidateSplits) -> tuple[Mat, RingElement]:
     as invertible as its 2x2 source.
     """
     s = splits
-    ring = s.alpha.ring
-    one = ring.one
+    alpha, b1, b2, g1, g2 = s.alpha, s.beta1, s.beta2, s.gamma1, s.gamma2
+    d11, d12, d12p, d22 = s.d11, s.d12, s.d12p, s.d22
+    ring = alpha.ring
+    one, zero = ring.one, ring.zero
     c1, c2, c3 = ring.c(1), ring.c(2), ring.c(3)
-    cand = Mat(
-        [
-            [
-                one + s.gamma2 * c2 + s.d12p * c3,
-                -s.gamma2 * c1 + s.d22 * c3,
-                -s.d12p * c1 - s.d22 * c2,
-            ],
-            [
-                -s.gamma1 * c2 - s.d11 * c3,
-                one + s.gamma1 * c1 - s.d12 * c3,
-                s.d11 * c1 + s.d12 * c2,
-            ],
-            [
-                -s.alpha * c2 - s.beta1 * c3,
-                s.alpha * c1 - s.beta2 * c3,
-                one + s.beta1 * c1 + s.beta2 * c2,
-            ],
-        ]
-    )
-    defect = (
-        s.d12p * c3
-        + s.gamma1 * s.d12p * c1 * c3
-        - s.d12 * c3
-        - s.d12p * s.d12 * c3 * c3
-        - s.gamma2 * s.d12 * c2 * c3
-        + s.beta2 * s.d12p * c2 * c3
-        - s.beta1 * s.d12 * c1 * c3
-        - s.beta1 * s.d22 * c2 * c3
-        + s.gamma1 * s.d22 * c2 * c3
-        - s.gamma2 * s.d11 * c1 * c3
-        + s.d11 * s.d22 * c3 * c3
-        + s.beta2 * s.d11 * c1 * c3
-    )
+    # cand = I + X*Z, one fused sum per entry.  The rows of Z are the Koszul
+    # relations of the column c, so Z*c = 0 and cand fixes c.
+    xs = ((-g2, -d12p, -d22), (g1, d11, d12), (alpha, b1, b2))
+    zs = ((-c2, -c3, zero), (c1, zero, -c3), (zero, c1, c2))  # the columns of Z
+    rows = zip(xs, identity(ring, 3).rows)
+    cand = Mat([[_dot((one, *x), (e, *z)) for e, z in zip(row, zs)] for x, row in rows])
+    # The twelve-term defect is c3 times d12p - d12 + c1*p1 + c2*p2 + c3*p3.
+    p1 = _dot((g1, b1, g2, b2), (d12p, d12, d11, d11), (1, -1, -1, 1))
+    p2 = _dot((g2, b2, b1, g1), (d12, d12p, d22, d22), (-1, 1, -1, 1))
+    p3 = _dot((d11, d12p), (d22, d12), (1, -1))
+    defect = c3 * _dot((d12p, d12, c1, c2, c3), (one, one, p1, p2, p3), (1, -1, 1, 1, 1))
     return cand, defect
 
 
 def matrix_from_splits(splits: CandidateSplits) -> Mat:
     """The 2x2 matrix a split tuple reconstructs."""
-    ring = splits.alpha.ring
+    s = splits
+    ring = s.alpha.ring
     c1, c2 = ring.c(1), ring.c(2)
-    beta = splits.beta1 * c1 + splits.beta2 * c2
-    gamma = splits.gamma1 * c1 + splits.gamma2 * c2
-    delta = (
-        splits.d11 * c1 * c1
-        + (splits.d12 + splits.d12p) * c1 * c2
-        + splits.d22 * c2 * c2
-    )
-    return ResidueQuadruple(splits.alpha, beta, gamma, delta).to_matrix()
+    beta = _dot((s.beta1, s.beta2), (c1, c2))
+    gamma = _dot((s.gamma1, s.gamma2), (c1, c2))
+    delta = _dot((s.d11 * c1, s.d12 + s.d12p, s.d22 * c2), (c1, c1 * c2, c2))
+    return ResidueQuadruple(s.alpha, beta, gamma, delta).to_matrix()
 
 
 def canonical_splits(b: CongruenceMatrix) -> CandidateSplits:
@@ -469,10 +463,6 @@ class PreimageReport:
         return doc
 
 
-def _specialize_mat(m: Mat, k: int) -> Mat:
-    return m.map(lambda x: x.specialize(k))
-
-
 def preimage(
     b: CongruenceMatrix, budget: Optional[SearchBudget] = None
 ) -> PreimageReport:
@@ -495,7 +485,7 @@ def preimage(
         raise NotInSchemeError("preimage needs a ring with at least three variables")
     c1, c2 = ring.c(1), ring.c(2)
 
-    base = CongruenceMatrix(_specialize_mat(b.mat, 2))
+    base = CongruenceMatrix(b.mat.map(lambda x: x.specialize(2)))
     remainder = base.mat.inverse() * b.mat
     _, mu, _, _ = delta_split_quadratic(remainder[1, 0])
     if not in_delta(mu, 1):

@@ -146,6 +146,40 @@ def test_inverse_requires_unit_determinant(ring3):
     assert err.value.det == bad
 
 
+def _inverse_by_det(m):
+    """The route Mat.inverse replaced: det by its own cofactor expansion,
+    then the adjugate's cofactors again."""
+    d = m.det()
+    witness = d.unit_inverse()
+    if witness is None:
+        raise NotAUnitError(d)
+    return m.adjugate().scale(witness)
+
+
+def _outcome(route, m):
+    try:
+        return route(m)
+    except NotAUnitError as exc:
+        return ("NotAUnitError", exc.det, str(exc))
+
+
+def test_inverse_matches_the_det_route(ring3):
+    rng = random.Random(17)
+    for n in (1, 2, 3):
+        for _ in range(20):
+            m = _random_mat(rng, ring3, n)
+            assert _outcome(Mat.inverse, m) == _outcome(_inverse_by_det, m)
+    # Unit determinants, so that the inverses themselves are compared too.
+    for n in (2, 3):
+        for _ in range(10):
+            a = identity_plus(ring3, n, {(1, n): _random_element(rng, ring3)})
+            b = identity_plus(ring3, n, {(n, 1): _random_element(rng, ring3)})
+            m = (a * b).scale(-1) if n == 3 else a * b
+            inverse = m.inverse()
+            assert inverse == _inverse_by_det(m)
+            assert m * inverse == identity(ring3, n)
+
+
 def test_matrices_hold_ring_elements_only(ring3):
     # (numerator, c3-exponent) pairs stand for elements of the localization
     for bad in ((ring3.one, 1), (ring3.var(1), 0), 1, "a1"):

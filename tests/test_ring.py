@@ -27,7 +27,7 @@ from colstab import (
     parse_element,
 )
 
-from colstab.ring import MAX_EXPONENT, _c_power_factors
+from colstab.ring import MAX_EXPONENT, _c_power_factors, _two_variable, c_heads
 from conftest import LAUR2, LAUR3, POLY2, POLY3, elements
 
 
@@ -353,6 +353,84 @@ def test_products_of_generators_land_in_delta_powers(ring, data):
     k2 = data.draw(st.integers(1, 2))
     assert in_delta(g * ring.c(k1), 1)
     assert in_delta(g * ring.c(k1) * ring.c(k2) + h * ring.c(1) * ring.c(2), 2)
+
+
+# Both modes, both coefficient domains, one to four variables.
+SMALL_RINGS = [
+    RingDescriptor(mode, nvars, coeff)
+    for mode in Mode
+    for coeff in Coeff
+    for nvars in (1, 2, 3, 4)
+]
+
+
+def _ring_id(ring):
+    return f"{ring.mode.value}-{ring.coeff.value}-{ring.nvars}"
+
+
+def _coefficients(ring):
+    if ring.coeff is Coeff.RATIONALS:
+        return st.fractions(-4, 4, max_denominator=3).filter(bool)
+    return st.integers(-4, 4).filter(bool)
+
+
+def _any_elements(ring, max_terms=4):
+    """Elements with exponents -2..3 in Laurent mode, 0..3 otherwise, and
+    fractional coefficients in rational rings."""
+    low = 0 if ring.mode is Mode.POLYNOMIAL else -2
+    exps = st.tuples(*([st.integers(low, 3)] * ring.nvars))
+    terms = st.dictionaries(exps, _coefficients(ring), max_size=max_terms)
+    return terms.map(lambda d: RingElement(ring, d))
+
+
+def _in_delta_by_heads(g, p):
+    """The route ``in_delta`` replaced: g at the base point, then the linear
+    head of g along each c_k there."""
+    if not g.specialize_all().is_zero:
+        return False
+    return p == 1 or all(
+        c_heads(g, k, 2)[1].specialize_all().is_zero for k in range(1, g.ring.nvars + 1)
+    )
+
+
+@pytest.mark.parametrize("ring", SMALL_RINGS, ids=_ring_id)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_in_delta_matches_the_heads_route(ring, data):
+    # Multiplying by up to two c_k makes members of the ideal and of its
+    # square common draws; adding a second element makes near misses.
+    g = data.draw(_any_elements(ring))
+    for k in data.draw(st.lists(st.integers(1, ring.nvars), max_size=2)):
+        g = g * ring.c(k)
+    if data.draw(st.booleans()):
+        h = data.draw(_any_elements(ring, max_terms=2))
+        g = g + h * ring.c(data.draw(st.integers(1, ring.nvars)))
+    for p in (1, 2):
+        assert in_delta(g, p) == _in_delta_by_heads(g, p)
+
+
+def test_in_delta_reads_the_gradient_of_every_variable():
+    # Laurent: a1*a2^-1 - 1 vanishes at the base point with gradient (1, -1).
+    ring = RingDescriptor(Mode.LAURENT, 4, Coeff.RATIONALS)
+    g = ring.monomial(Fraction(1, 2), [1, -1, 0, 0]) - Fraction(1, 2)
+    assert in_delta(g, 1) and not in_delta(g, 2)
+    assert in_delta(g * ring.c(4), 2)
+    for k in range(1, 5):
+        assert not in_delta(ring.c(k), 2)
+        assert not in_delta(POLY3.var(min(k, 3)), 2)
+    assert in_delta(ring.c(1) * ring.c(2) - ring.c(3) * ring.c(4), 2)
+
+
+@pytest.mark.parametrize("ring", SMALL_RINGS, ids=_ring_id)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_two_variable_matches_free_of(ring, data):
+    # Half the draws are promoted from the first two variables.
+    low = RingDescriptor(ring.mode, min(ring.nvars, 2), ring.coeff)
+    g = data.draw(_any_elements(low)).promote(ring)
+    if data.draw(st.booleans()):
+        g = g + data.draw(_any_elements(ring, max_terms=1))
+    assert _two_variable(g) == all(g.free_of(k) for k in range(3, ring.nvars + 1))
 
 
 # -- ideal splits -----------------------------------------------------------------
