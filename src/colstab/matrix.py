@@ -8,7 +8,6 @@ adjugate is one sum of products, taken by the ring's product kernel ``_dot``.
 
 from __future__ import annotations
 
-import functools
 import operator
 from fractions import Fraction
 
@@ -176,13 +175,7 @@ def _cofactor(rows, i, j, sign=1):
 
 
 def identity(ring: RingDescriptor, n: int) -> Mat:
-    """The n x n identity, built once per ring and size."""
-    return _identity(ring, n)
-
-
-@functools.lru_cache(maxsize=64)
-def _identity(ring: RingDescriptor, n: int) -> Mat:
-    return Mat([[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)])
+    return identity_plus(ring, n, {})
 
 
 def zeros(ring: RingDescriptor, nrows: int, ncols: int) -> Mat:
@@ -191,7 +184,7 @@ def zeros(ring: RingDescriptor, nrows: int, ncols: int) -> Mat:
 
 def identity_plus(ring: RingDescriptor, n: int, entries: dict) -> Mat:
     """The n x n identity with each 1-based (i, j) entry increased by its value."""
-    rows = [list(r) for r in _identity(ring, n).rows]
+    rows = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
     for (i, j), value in entries.items():
         if not (1 <= i <= n and 1 <= j <= n):
             raise ShapeError(f"entry ({i}, {j}) outside a {n}x{n} matrix")

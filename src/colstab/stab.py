@@ -13,11 +13,10 @@ vanishing determinant defect lifts back to an explicit 3x3 stabilizer.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .matrix import Mat, NotAUnitError, _cofactor, identity, mat_to_document, transvection
+from .matrix import Mat, NotAUnitError, identity, mat_to_document, transvection
 from .ring import (
     ColstabError,
     NotDivisibleError,
@@ -56,12 +55,7 @@ def column(ring: RingDescriptor, n: int = 3):
 
 
 def annihilator_block(ring: RingDescriptor) -> Mat:
-    """The rank-one, square-zero 2x2 matrix annihilating (c1, c2), built once per ring."""
-    return _annihilator_block(ring)
-
-
-@functools.lru_cache(maxsize=32)
-def _annihilator_block(ring: RingDescriptor) -> Mat:
+    """The rank-one, square-zero 2x2 matrix annihilating the column (c1, c2)."""
     c1, c2 = ring.c(1), ring.c(2)
     return Mat([[c1 * c2, -(c1 * c1)], [c2 * c2, -(c1 * c2)]])
 
@@ -98,20 +92,7 @@ class StabMatrix:
         return StabMatrix(self.mat * other.mat)
 
     def inverse(self) -> "StabMatrix":
-        """The inverse from six cofactors; raises ``NotAUnitError`` unless det is a
-        unit.  Relies on the invariant above: as the matrix fixes the column c,
-        its adjugate maps c to det*c, so cofactor row 2 is an exact quotient,
-        ``cof[2][i] = (det*c_i - cof[0][i]*c1 - cof[1][i]*c2) / c3``."""
-        rows = self.mat.rows
-        cof = [[_cofactor(rows, i, j) for j in range(3)] for i in range(2)]
-        det = _dot(rows[0], cof[0])
-        witness = det.unit_inverse()
-        if witness is None:
-            raise NotAUnitError(det)
-        c1, c2, c3 = col = column(self.ring)
-        last = (_dot((det, x, y), (c, c1, c2), (1, -1, -1)) for x, y, c in zip(*cof, col))
-        cof.append([x.divide_exact(c3) for x in last])
-        return StabMatrix(Mat([[row[i] * witness for row in cof] for i in range(3)]))
+        return StabMatrix(self.mat.inverse())
 
     def __str__(self):
         return str(self.mat)
@@ -384,8 +365,12 @@ def candidate_from_splits(splits: CandidateSplits) -> tuple[Mat, RingElement]:
     # relations of the column c, so Z*c = 0 and cand fixes c.
     xs = ((-g2, -d12p, -d22), (g1, d11, d12), (alpha, b1, b2))
     zs = ((-c2, -c3, zero), (c1, zero, -c3), (zero, c1, c2))  # the columns of Z
-    rows = zip(xs, identity(ring, 3).rows)
-    cand = Mat([[_dot((one, *x), (e, *z)) for e, z in zip(row, zs)] for x, row in rows])
+    cand = Mat(
+        [
+            [_dot((one, *x), (one if i == j else zero, *z)) for j, z in enumerate(zs)]
+            for i, x in enumerate(xs)
+        ]
+    )
     # The twelve-term defect is c3 times d12p - d12 + c1*p1 + c2*p2 + c3*p3.
     p1 = _dot((g1, b1, g2, b2), (d12p, d12, d11, d11), (1, -1, -1, 1))
     p2 = _dot((g2, b2, b1, g1), (d12, d12p, d22, d22), (-1, 1, -1, 1))
@@ -396,13 +381,16 @@ def candidate_from_splits(splits: CandidateSplits) -> tuple[Mat, RingElement]:
 
 def matrix_from_splits(splits: CandidateSplits) -> Mat:
     """The 2x2 matrix a split tuple reconstructs."""
-    s = splits
-    ring = s.alpha.ring
+    ring = splits.alpha.ring
     c1, c2 = ring.c(1), ring.c(2)
-    beta = _dot((s.beta1, s.beta2), (c1, c2))
-    gamma = _dot((s.gamma1, s.gamma2), (c1, c2))
-    delta = _dot((s.d11 * c1, s.d12 + s.d12p, s.d22 * c2), (c1, c1 * c2, c2))
-    return ResidueQuadruple(s.alpha, beta, gamma, delta).to_matrix()
+    beta = splits.beta1 * c1 + splits.beta2 * c2
+    gamma = splits.gamma1 * c1 + splits.gamma2 * c2
+    delta = (
+        splits.d11 * c1 * c1
+        + (splits.d12 + splits.d12p) * c1 * c2
+        + splits.d22 * c2 * c2
+    )
+    return ResidueQuadruple(splits.alpha, beta, gamma, delta).to_matrix()
 
 
 def canonical_splits(b: CongruenceMatrix) -> CandidateSplits:
@@ -463,6 +451,10 @@ class PreimageReport:
         return doc
 
 
+def _specialize_mat(m: Mat, k: int) -> Mat:
+    return m.map(lambda x: x.specialize(k))
+
+
 def preimage(
     b: CongruenceMatrix, budget: Optional[SearchBudget] = None
 ) -> PreimageReport:
@@ -485,7 +477,7 @@ def preimage(
         raise NotInSchemeError("preimage needs a ring with at least three variables")
     c1, c2 = ring.c(1), ring.c(2)
 
-    base = CongruenceMatrix(b.mat.map(lambda x: x.specialize(2)))
+    base = CongruenceMatrix(_specialize_mat(b.mat, 2))
     remainder = base.mat.inverse() * b.mat
     _, mu, _, _ = delta_split_quadratic(remainder[1, 0])
     if not in_delta(mu, 1):
