@@ -178,10 +178,6 @@ def identity(ring: RingDescriptor, n: int) -> Mat:
     return identity_plus(ring, n, {})
 
 
-def zeros(ring: RingDescriptor, nrows: int, ncols: int) -> Mat:
-    return Mat([[ring.zero] * ncols for _ in range(nrows)])
-
-
 def identity_plus(ring: RingDescriptor, n: int, entries: dict) -> Mat:
     """The n x n identity with each 1-based (i, j) entry increased by its value."""
     rows = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]

@@ -721,8 +721,9 @@ def delta_split_quadratic(
         raise NotInIdealError("element is not in the squared augmentation ideal")
     ring = delta.ring
     c1, c2 = ring.c(1), ring.c(2)
-    d11 = delta.specialize(2).divide_exact(c1 * c1)
-    rem = (delta - d11 * c1 * c1).divide_exact(c2)
+    c1_sq = c1 * c1
+    d11 = delta.specialize(2).divide_exact(c1_sq)
+    rem = (delta - d11 * c1_sq).divide_exact(c2)
     d12 = rem.specialize(2).divide_exact(c1)
     d22 = (rem - d12 * c1).divide_exact(c2)
     return d11, d12, ring.zero, d22

@@ -60,26 +60,16 @@ def annihilator_block(ring: RingDescriptor) -> Mat:
     return Mat([[c1 * c2, -(c1 * c1)], [c2 * c2, -(c1 * c2)]])
 
 
-def conjugator(ring: RingDescriptor) -> Mat:
-    """Upper-triangular change of basis carrying the column into its last column."""
-    one, zero = ring.one, ring.zero
-    return Mat(
-        [
-            [one, zero, ring.c(1)],
-            [zero, one, ring.c(2)],
-            [zero, zero, ring.c(3)],
-        ]
-    )
-
-
 @dataclass(frozen=True)
 class StabMatrix:
     """A 3x3 matrix certified to fix the column and to have unit determinant.
 
     Built only by ``check_stab``, which checks both properties; by ``__mul__``
     and ``inverse``, which preserve them; and by construction, for the tame
-    generators ``gen_T`` and ``gen_S`` and for ``eval_word``, which starts
-    from the identity and applies each letter as a column update.
+    generators ``gen_T`` and ``gen_S``, for ``eval_word``, which starts
+    from the identity and applies each letter as a column update, and for
+    the lifts in ``preimage``, each ``I + X*Z`` with a zero determinant
+    defect.
     """
 
     mat: Mat
@@ -320,12 +310,6 @@ class CongruenceMatrix:
     def ring(self) -> RingDescriptor:
         return self.mat.ring
 
-    def residues(self) -> ResidueQuadruple:
-        one = self.ring.one
-        return ResidueQuadruple(
-            self.mat[0, 1], self.mat[0, 0] - one, self.mat[1, 1] - one, self.mat[1, 0]
-        )
-
 
 def rho(a: StabMatrix) -> CongruenceMatrix:
     """The homomorphism onto congruence-type 2x2 matrices over two variables."""
@@ -393,12 +377,15 @@ def matrix_from_splits(splits: CandidateSplits) -> Mat:
     return ResidueQuadruple(splits.alpha, beta, gamma, delta).to_matrix()
 
 
-def canonical_splits(b: CongruenceMatrix) -> CandidateSplits:
-    q = b.residues()
-    beta1, beta2 = delta_split_linear(q.beta)
-    gamma1, gamma2 = delta_split_linear(q.gamma)
-    d11, d12, d12p, d22 = delta_split_quadratic(q.delta)
-    return CandidateSplits(q.alpha, beta1, beta2, gamma1, gamma2, d11, d12, d12p, d22)
+def canonical_splits(m: Mat) -> CandidateSplits:
+    """The canonical splits of a scheme matrix, read off its entries: alpha
+    is the upper-right entry, beta and gamma are the diagonal minus one, and
+    delta is the lower-left entry."""
+    one = m.ring.one
+    beta1, beta2 = delta_split_linear(m[0, 0] - one)
+    gamma1, gamma2 = delta_split_linear(m[1, 1] - one)
+    d11, d12, d12p, d22 = delta_split_quadratic(m[1, 0])
+    return CandidateSplits(m[0, 1], beta1, beta2, gamma1, gamma2, d11, d12, d12p, d22)
 
 
 def build_preimage_candidate(b: CongruenceMatrix) -> tuple[Mat, RingElement]:
@@ -410,7 +397,7 @@ def build_preimage_candidate(b: CongruenceMatrix) -> tuple[Mat, RingElement]:
     """
     if b.ring.nvars < 3:
         raise NotInSchemeError("lifting needs a ring with at least three variables")
-    return candidate_from_splits(canonical_splits(b))
+    return candidate_from_splits(canonical_splits(b.mat))
 
 
 @dataclass(frozen=True)
@@ -451,10 +438,6 @@ class PreimageReport:
         return doc
 
 
-def _specialize_mat(m: Mat, k: int) -> Mat:
-    return m.map(lambda x: x.specialize(k))
-
-
 def preimage(
     b: CongruenceMatrix, budget: Optional[SearchBudget] = None
 ) -> PreimageReport:
@@ -477,8 +460,13 @@ def preimage(
         raise NotInSchemeError("preimage needs a ring with at least three variables")
     c1, c2 = ring.c(1), ring.c(2)
 
-    base = CongruenceMatrix(_specialize_mat(b.mat, 2))
-    remainder = base.mat.inverse() * b.mat
+    # Every 2x2 matrix below lies in the scheme by closure, so none is
+    # re-validated: specialization at variable 2 fixes values at the base
+    # point, so it keeps Delta, Delta^2, units and two-variable entries; the
+    # scheme is closed under products and inverses; and the correction is
+    # in it.
+    base = b.mat.map(lambda x: x.specialize(2))
+    remainder = base.inverse() * b.mat
     _, mu, _, _ = delta_split_quadratic(remainder[1, 0])
     if not in_delta(mu, 1):
         return PreimageReport(
@@ -488,14 +476,15 @@ def preimage(
     # Both sources have a zero defect by construction, so a nonzero defect,
     # like an image other than b below, is a fault of this function: it
     # raises, and is never reported as an obstruction.
-    lift_base, defect = build_preimage_candidate(base)
     correction = transvection(ring, 2, 2, 1, -mu * c1 * c2)
-    corrected = CongruenceMatrix(remainder * correction)
-    lift_corr, defect2 = build_preimage_candidate(corrected)
+    lift_base, defect = candidate_from_splits(canonical_splits(base))
+    lift_corr, defect2 = candidate_from_splits(canonical_splits(remainder * correction))
     if defect or defect2:
         raise RuntimeError(f"preimage: a lift has determinant defect {defect or defect2}")
-    first = check_stab(lift_base)
-    second = check_stab(lift_corr)
+    # Certified by construction: each lift is I + X*Z, which fixes the
+    # column, and det(lift) = det(source) + defect, a unit.
+    first = StabMatrix(lift_base)
+    second = StabMatrix(lift_corr)
 
     from .tame import gen_S  # deferred import; tame builds on this module
 

@@ -1,13 +1,31 @@
 import pytest
 from hypothesis import strategies as st
 
-from colstab import Letter, Mode, RingDescriptor, RingElement, TameWord
+from colstab import Letter, Mat, Mode, RingDescriptor, RingElement, TameWord
 from colstab.tame import S_INDICES, T_INDICES
 
 POLY2 = RingDescriptor(Mode.POLYNOMIAL, 2)
 LAUR2 = RingDescriptor(Mode.LAURENT, 2)
 POLY3 = RingDescriptor(Mode.POLYNOMIAL, 3)
 LAUR3 = RingDescriptor(Mode.LAURENT, 3)
+
+
+def zeros(ring, nrows, ncols):
+    """The nrows x ncols zero matrix over ring."""
+    return Mat([[ring.zero] * ncols for _ in range(nrows)])
+
+
+def conjugator(ring):
+    """Upper-triangular change of basis carrying the column into its last
+    column; the oracle the tests check ``reduce`` against."""
+    one, zero = ring.one, ring.zero
+    return Mat(
+        [
+            [one, zero, ring.c(1)],
+            [zero, one, ring.c(2)],
+            [zero, zero, ring.c(3)],
+        ]
+    )
 
 
 def elements(ring, max_terms=4, bound=4, max_deg=3):

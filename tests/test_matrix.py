@@ -12,18 +12,16 @@ from colstab import (
     ShapeError,
     annihilator_block,
     cohn_matrix,
-    conjugator,
     gen_T,
     identity,
     identity_plus,
     mat_from_document,
     mat_to_document,
     transvection,
-    zeros,
 )
 from colstab.ring import MAX_EXPONENT
 
-from conftest import LAUR3, POLY2, POLY3
+from conftest import LAUR3, POLY2, POLY3, conjugator, zeros
 
 
 def _random_element(rng, ring, max_terms=3, bound=3):

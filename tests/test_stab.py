@@ -26,7 +26,6 @@ from colstab import (
     cohn_matrix,
     column,
     compose_residues,
-    conjugator,
     delta_split_quadratic,
     eval_word,
     gen_S,
@@ -44,7 +43,6 @@ from colstab import (
     rho,
     sample_tame,
     transvection,
-    zeros,
 )
 from colstab.stab import (
     CandidateSplits,
@@ -65,7 +63,7 @@ from colstab.tame import S_INDICES, T_INDICES
 from colstab.verify import _random_element, _random_scheme_zero_defect
 
 import reference_ring as ref
-from conftest import LAUR3, POLY3, elements, words
+from conftest import LAUR3, POLY3, conjugator, elements, words, zeros
 
 
 def _sample(ring, seed, length=6):
@@ -104,7 +102,9 @@ def _stab_matrix_construction_sites():
 
 def test_stab_matrix_is_built_only_where_its_docstring_says():
     named = set(re.findall(r"``(\w+)``", StabMatrix.__doc__))
-    assert named == {"check_stab", "__mul__", "inverse", "eval_word", "gen_T", "gen_S"}
+    assert named == {
+        "check_stab", "__mul__", "inverse", "eval_word", "gen_T", "gen_S", "preimage"
+    }
     assert _stab_matrix_construction_sites() == named
 
 
@@ -767,24 +767,90 @@ def test_correction_parameter_involves_variable_1_only(ring3):
             assert mu.divide_exact(c1) * c1 == mu
 
 
-def test_obstructed_preimage_lifts_nothing(ring3, monkeypatch):
+def _logged_preimage(monkeypatch, target, names):
+    """preimage(target) with each named function of colstab.stab wrapped to
+    log its entry as its name and its exit as "/" and its name."""
     calls = []
 
-    def counted(name):
+    def logged(name):
         original = getattr(colstab.stab, name)
 
         def wrapper(*args, **kwargs):
             calls.append(name)
-            return original(*args, **kwargs)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                calls.append("/" + name)
 
         return wrapper
 
-    for name in ("check_stab", "canonical_splits", "candidate_from_splits"):
-        monkeypatch.setattr(colstab.stab, name, counted(name))
+    for name in names:
+        monkeypatch.setattr(colstab.stab, name, logged(name))
+    return preimage(target), calls
+
+
+def test_obstructed_preimage_lifts_nothing(ring3, monkeypatch):
     target = CongruenceMatrix(transvection(ring3, 2, 2, 1, ring3.c(1) * ring3.c(2)))
-    report = preimage(target)
+    report, calls = _logged_preimage(
+        monkeypatch, target, ("check_stab", "canonical_splits", "candidate_from_splits")
+    )
     assert report.status == "OBSTRUCTED" and report.stage == "transvection-preimage"
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "make_target",
+    [
+        lambda: CongruenceMatrix(cohn_matrix(POLY3)),
+        lambda: rho(_sample(POLY3, 40)),
+        lambda: rho(_sample(LAUR3, 40)),
+    ],
+    ids=["cohn", "word-polynomial", "word-laurent"],
+)
+def test_successful_preimage_certifies_by_construction(make_target, monkeypatch):
+    # The lifts are certified by construction and the 2x2 matrices they come
+    # from lie in the scheme by closure, so the one check left is the
+    # scheme test inside the final rho.
+    report, calls = _logged_preimage(
+        monkeypatch,
+        make_target(),
+        ("check_stab", "build_preimage_candidate", "in_scheme", "rho"),
+    )
+    assert report.ok
+    assert calls == ["rho", "in_scheme", "/in_scheme", "/rho"]
+
+
+def _scheme_matrices(ring):
+    """Scheme matrices from two sources: rho images of sampled tame words,
+    and the zero-defect families of the preimage suite."""
+    seeds = st.integers(0, 2**32 - 1)
+    images = st.builds(
+        lambda seed, length: rho(_sample(ring, seed, length)).mat, seeds, st.integers(1, 6)
+    )
+    drawn = seeds.map(lambda seed: _random_scheme_zero_defect(random.Random(seed), ring))
+    return st.one_of(images, drawn)
+
+
+@pytest.mark.parametrize("ring", [POLY3, LAUR3], ids=["polynomial", "laurent"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_preimage_sources_lie_in_the_scheme_by_closure(ring, data):
+    # preimage checks none of these; the scheme test and check_stab are
+    # their oracles here.
+    b = data.draw(_scheme_matrices(ring))
+    other = data.draw(_scheme_matrices(ring))
+    c1, c2 = ring.c(1), ring.c(2)
+    assert in_scheme(b) and in_scheme(other)
+    base = b.map(lambda x: x.specialize(2))
+    assert in_scheme(base)
+    assert in_scheme(b * other) and in_scheme(other * b)
+    assert in_scheme(b.inverse()) and in_scheme(base.inverse())
+    remainder = base.inverse() * b
+    _, mu, _, _ = delta_split_quadratic(remainder[1, 0])
+    assert in_scheme(remainder * transvection(ring, 2, 2, 1, -mu * c1 * c2))
+    report = preimage(CongruenceMatrix(b))
+    assert report.ok
+    assert check_stab(report.preimage.mat) == report.preimage
 
 
 @pytest.mark.parametrize("fault", ["defect", "image"])
