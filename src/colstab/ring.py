@@ -559,8 +559,8 @@ def _divide_c(g: RingElement, k: int) -> RingElement:
     return _element(ring, quotient, g._span)
 
 
-# Shared by all rings; a pass over a benchmark workload's pool divides by 6
-# to 54 distinct divisors.
+# Shared by all rings; a pass over a benchmark workload's pool divides by 4
+# to 54 distinct divisors (preimage_lift 4, certify_words 6, verify_all 54).
 @functools.lru_cache(maxsize=256)
 def _c_power_factors(d: RingElement) -> tuple | None:
     """The pairs (k, e), e > 0, in increasing k, with d the product of the
@@ -616,7 +616,7 @@ def c_adic_decompose(g: RingElement, k: int, t: int) -> CAdicDecomposition:
     for _ in range(t):
         head = current.specialize(k)
         heads.append(head)
-        current = _divide_c(current - head, k) if current != head else g.ring.zero
+        current = _divide_c(current - head, k)
     return CAdicDecomposition(k=k, heads=tuple(heads), tail=current)
 
 
@@ -702,10 +702,10 @@ def delta_split_linear(beta: RingElement) -> tuple[RingElement, RingElement]:
     _require_two_variable(beta)
     if not in_delta(beta, 1):
         raise NotInIdealError("element is not in the augmentation ideal")
-    ring = beta.ring
-    beta1 = beta.specialize(2).divide_exact(ring.c(1))
-    beta2 = (beta - beta1 * ring.c(1)).divide_exact(ring.c(2))
-    return beta1, beta2
+    # beta = h0 + tail*c2 with h0 = beta at c2 = 0, which involves a1 only and
+    # vanishes at the base point, so c1 divides it.
+    dec = c_adic_decompose(beta, 2, 1)
+    return _divide_c(dec.heads[0], 1), dec.tail
 
 
 def delta_split_quadratic(
@@ -713,20 +713,17 @@ def delta_split_quadratic(
 ) -> tuple[RingElement, RingElement, RingElement, RingElement]:
     """Split delta in the squared ideal as d11*c1^2 + (d12 + d12p)*c1*c2 + d22*c2^2.
 
-    The deterministic rule sets d12p = 0 and peels d11, d12 off the
-    variable-2-specialized parts, so d11 and d12 are free of variable 2.
+    The deterministic rule sets d12p = 0 and reads d11, d12 off the heads of
+    delta along c2, so d11 and d12 are free of variable 2.
     """
     _require_two_variable(delta)
     if not in_delta(delta, 2):
         raise NotInIdealError("element is not in the squared augmentation ideal")
-    ring = delta.ring
-    c1, c2 = ring.c(1), ring.c(2)
-    c1_sq = c1 * c1
-    d11 = delta.specialize(2).divide_exact(c1_sq)
-    rem = (delta - d11 * c1_sq).divide_exact(c2)
-    d12 = rem.specialize(2).divide_exact(c1)
-    d22 = (rem - d12 * c1).divide_exact(c2)
-    return d11, d12, ring.zero, d22
+    # delta = h0 + h1*c2 + tail*c2^2 with h0, h1 in a1 only; delta in the
+    # square puts h0 in the square of (c1) and h1 in (c1).
+    dec = c_adic_decompose(delta, 2, 2)
+    h0, h1 = dec.heads
+    return _divide_c(_divide_c(h0, 1), 1), _divide_c(h1, 1), delta.ring.zero, dec.tail
 
 
 # -- text codec ----------------------------------------------------------------

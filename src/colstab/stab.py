@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .matrix import Mat, NotAUnitError, identity, mat_to_document, transvection
+from .matrix import Mat, NotAUnitError, ShapeError, identity, mat_to_document, transvection
 from .ring import (
     ColstabError,
     NotDivisibleError,
@@ -24,6 +24,7 @@ from .ring import (
     RingElement,
     _dot,
     _two_variable,
+    c_adic_decompose,
     c_heads,
     delta_split_linear,
     delta_split_quadratic,
@@ -91,7 +92,7 @@ class StabMatrix:
 def check_stab(m: Mat) -> StabMatrix:
     """Certify membership in the stabilizer group, or raise with a witness."""
     if m.nrows != 3 or m.ncols != 3:
-        raise NotStabilizingError([])
+        raise ShapeError(f"a stabilizer is 3x3, not {m.nrows}x{m.ncols}")
     col = column(m.ring)
     image = m.apply_column(col)
     defect = [img - c for img, c in zip(image, col)]
@@ -139,26 +140,23 @@ class ReductionParts:
         return self.pole + (identity(self.pole.ring, 2) + inner).scale(c3)
 
 
-def _reduction_heads(n: Mat) -> tuple[Mat, Mat, Mat, Mat]:
-    """A reduced numerator minus c3 times the identity, and its heads 0, 1
-    and 2 along c3 entrywise: the pole, order0 and order1."""
+def _reduction_heads(n: Mat) -> tuple[Mat, Mat, Mat]:
+    """Heads 0, 1 and 2 along c3 of a reduced numerator minus c3 times the
+    identity, entrywise: the pole, order0 and order1."""
     diff = n - identity(n.ring, 2).scale(n.ring.c(3))
     heads = [[c_heads(x, 3, 3) for x in row] for row in diff.rows]
-    return (diff,) + tuple(
-        Mat([[h[level] for h in row] for row in heads]) for level in range(3)
-    )
+    return tuple(Mat([[h[level] for h in row] for row in heads]) for level in range(3))
 
 
 def r_decompose(n: Mat) -> ReductionParts:
     """Entrywise split of a reduced numerator minus c3 times the identity:
     heads 0, 1 and 2 along c3 are the pole, order0 and order1."""
-    diff, pole, order0, order1 = _reduction_heads(n)
-    c3 = n.ring.c(3)
-    rest = diff - pole - (order0 + order1.scale(c3)).scale(c3)
-    # Exact: the heads are taken off, so c3^3 divides what is left.
-    cube = c3 * c3 * c3
-    tail = rest.map(lambda x: x.divide_exact(cube))
-    return ReductionParts(pole, order0, order1, tail)
+    diff = n - identity(n.ring, 2).scale(n.ring.c(3))
+    decs = [[c_adic_decompose(x, 3, 3) for x in row] for row in diff.rows]
+    pole, order0, order1 = (
+        Mat([[d.heads[level] for d in row] for row in decs]) for level in range(3)
+    )
+    return ReductionParts(pole, order0, order1, Mat([[d.tail for d in row] for row in decs]))
 
 
 @dataclass(frozen=True)
@@ -232,7 +230,7 @@ def residues(a: StabMatrix) -> ResidueQuadruple:
     c1, c2 = ring.c(1), ring.c(2)
     u, v = (c1, c2), (c2, -c1)
     block = annihilator_block(ring)
-    _, pole, order0, order1 = _reduction_heads(reduce(a))
+    pole, order0, order1 = _reduction_heads(reduce(a))
     alpha = _solve_multiple(pole, block)
     beta = _solve_vector_multiple([_dot(row, u) for row in order0.rows], u)
     gamma = _solve_vector_multiple([_dot(v, col) for col in zip(*order0.rows)], v)

@@ -93,6 +93,15 @@ def test_non_stabilizer_input_to_residues_exits_3(capsys):
     assert code == 3
     assert json.loads(out)["error"] == "domain"
 
+@pytest.mark.parametrize("subcommand", ["check-stab", "residues", "rho", "reduce"])
+def test_wrong_shape_input_exits_3_naming_the_shape(capsys, subcommand):
+    doc = _doc(transvection(POLY3, 2, 1, 2, POLY3.one))
+    code, out, _ = run_cli(capsys, subcommand, "--inline", doc)
+    payload = json.loads(out)
+    assert code == 3
+    assert payload["error"] == "domain"
+    assert payload["message"] == "a stabilizer is 3x3, not 2x2"
+
 def test_check_stab_reports_defect_and_exits_1(capsys):
     doc = _doc(transvection(POLY3, 3, 1, 2, POLY3.one))
     code, out, _ = run_cli(capsys, "check-stab", "--inline", doc)

@@ -1,5 +1,6 @@
 import ast
 import copy
+import inspect
 import pickle
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import colstab
 from colstab import (
     Coeff,
+    ColstabError,
     DescriptorMismatchError,
     ExponentRangeError,
     Mode,
@@ -27,7 +29,13 @@ from colstab import (
     parse_element,
 )
 
-from colstab.ring import MAX_EXPONENT, _c_power_factors, _two_variable, c_heads
+from colstab.ring import (
+    MAX_EXPONENT,
+    _c_power_factors,
+    _require_two_variable,
+    _two_variable,
+    c_heads,
+)
 from conftest import LAUR2, LAUR3, POLY2, POLY3, elements
 
 
@@ -477,6 +485,65 @@ def test_quadratic_split_reconstructs(ring, data):
     assert d11.free_of(2) and d12.free_of(2)
 
 
+def _linear_split_by_division(beta):
+    """The route ``delta_split_linear`` replaced: specialize variable 2,
+    divide through ``divide_exact`` and multiply back by c1."""
+    _require_two_variable(beta)
+    if not in_delta(beta, 1):
+        raise NotInIdealError("element is not in the augmentation ideal")
+    ring = beta.ring
+    beta1 = beta.specialize(2).divide_exact(ring.c(1))
+    beta2 = (beta - beta1 * ring.c(1)).divide_exact(ring.c(2))
+    return beta1, beta2
+
+
+def _quadratic_split_by_division(delta):
+    """The route ``delta_split_quadratic`` replaced: four ``divide_exact``
+    calls and two products by powers of c1."""
+    _require_two_variable(delta)
+    if not in_delta(delta, 2):
+        raise NotInIdealError("element is not in the squared augmentation ideal")
+    ring = delta.ring
+    c1, c2 = ring.c(1), ring.c(2)
+    c1_sq = c1 * c1
+    d11 = delta.specialize(2).divide_exact(c1_sq)
+    rem = (delta - d11 * c1_sq).divide_exact(c2)
+    d12 = rem.specialize(2).divide_exact(c1)
+    d22 = (rem - d12 * c1).divide_exact(c2)
+    return d11, d12, ring.zero, d22
+
+
+def _split_outcome(split, g):
+    """The split of g, or the type and message of the error it raises."""
+    try:
+        return split(g)
+    except ColstabError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "ring", [ring for ring in SMALL_RINGS if ring.nvars >= 2], ids=_ring_id
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_splits_match_the_division_route(ring, data):
+    # Elements of the first two variables times up to two of c1, c2 are
+    # members of the ideal and of its square; an added multiple of some c_k
+    # makes near misses and, from three variables on, inputs involving a3.
+    plane = RingDescriptor(ring.mode, 2, ring.coeff)
+    g = data.draw(_any_elements(plane)).promote(ring)
+    for k in data.draw(st.lists(st.integers(1, 2), max_size=2)):
+        g = g * ring.c(k)
+    if data.draw(st.booleans()):
+        h = data.draw(_any_elements(ring, max_terms=2))
+        g = g + h * ring.c(data.draw(st.integers(1, ring.nvars)))
+    for split, oracle in (
+        (delta_split_linear, _linear_split_by_division),
+        (delta_split_quadratic, _quadratic_split_by_division),
+    ):
+        assert _split_outcome(split, g) == _split_outcome(oracle, g)
+
+
 # -- layering -------------------------------------------------------------------
 
 # Attributes of the packed representation, its constructor from packed terms,
@@ -503,3 +570,36 @@ def test_only_the_ring_module_reads_packed_terms():
     for path in sorted(package.glob("*.py")):
         if path.name != "ring.py":
             assert not PACKED & _names_used(path), path.name
+
+
+# The names ``colstab`` exports, by the module that defines them.  A change
+# to the public surface shows up as an edit here.
+PUBLIC_NAMES = {
+    # matrix
+    "Mat", "NotAUnitError", "ShapeError", "identity", "identity_plus",
+    "mat_from_document", "mat_to_document", "promote", "transvection",
+    # ring
+    "CAdicDecomposition", "Coeff", "ColstabError", "DescriptorMismatchError",
+    "ExponentRangeError", "Mode", "NotDivisibleError", "NotInIdealError",
+    "ParseError", "RingDescriptor", "RingElement", "c_adic_decompose",
+    "delta_split_linear", "delta_split_quadratic", "format_element", "in_delta",
+    "parse_element",
+    # stab
+    "CongruenceMatrix", "NotInSchemeError", "NotStabilizingError", "PreimageReport",
+    "RelationFailedError", "ResidueQuadruple", "StabMatrix", "annihilator_block",
+    "build_preimage_candidate", "check_stab", "column", "compose_residues", "in_H",
+    "in_scheme", "preimage", "r_decompose", "reduce", "residues",
+    "residues_closed_form", "rho",
+    # tame
+    "Letter", "NotInStab2Error", "TameWord", "cohn_matrix", "eval_word", "gen_S",
+    "gen_T", "prop2_check", "sample_tame", "stab2", "stab2_param",
+}
+
+
+def test_public_surface_is_the_listed_names():
+    exported = {
+        name
+        for name, value in vars(colstab).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert exported == PUBLIC_NAMES

@@ -19,6 +19,7 @@ from colstab import (
     Letter,
     RingDescriptor,
     RingElement,
+    ShapeError,
     annihilator_block,
     build_preimage_candidate,
     c_adic_decompose,
@@ -125,6 +126,12 @@ def test_check_stab_requires_unit_determinant(ring3):
     with pytest.raises(NotAUnitError) as err:
         check_stab(m)
     assert err.value.det == ring3.one + c2 * c2
+
+
+def test_check_stab_rejects_a_wrong_shape_by_name(ring3):
+    for m in (identity(ring3, 2), zeros(ring3, 3, 2), identity(ring3, 4)):
+        with pytest.raises(ShapeError, match=f"not {m.nrows}x{m.ncols}$"):
+            check_stab(m)
 
 
 # -- reduction ---------------------------------------------------------------------
@@ -241,6 +248,38 @@ def test_parts_match_the_reference_kernel(ring3):
                 ] == [x.terms for x in (*dec.heads, dec.tail)]
 
 
+def test_splits_and_parts_are_read_off_c_adic_decompose(ring3, monkeypatch):
+    # One route returns a tail: each split decomposes its input once along
+    # c2, r_decompose each numerator entry once along c3, and none of them
+    # divides through divide_exact.
+    calls = []
+
+    def logged(name, original):
+        def wrapper(*args):
+            calls.append((name, *args[1:]))
+            return original(*args)
+
+        return wrapper
+
+    decompose = colstab.ring.c_adic_decompose
+    for module in (colstab.ring, colstab.stab):
+        monkeypatch.setattr(
+            module, "c_adic_decompose", logged("c_adic_decompose", decompose), raising=False
+        )
+    monkeypatch.setattr(
+        RingElement, "divide_exact", logged("divide_exact", RingElement.divide_exact)
+    )
+    c1, c2 = ring3.c(1), ring3.c(2)
+    colstab.ring.delta_split_linear(c1 * c2 + c1 + c2 * c2)
+    assert calls == [("c_adic_decompose", 2, 1)]
+    calls.clear()
+    colstab.ring.delta_split_quadratic(c1 * c1 * ring3.var(1) + c1 * c2 + c2 * c2 * c2)
+    assert calls == [("c_adic_decompose", 2, 2)]
+    calls.clear()
+    r_decompose(reduce(_sample(ring3, 7)))
+    assert calls == [("c_adic_decompose", 3, 3)] * 4
+
+
 # -- residues ----------------------------------------------------------------------
 
 
@@ -290,7 +329,7 @@ def _dense_residues(a):
         [[m[i, j] * c3 - ring.c(i + 1) * m[2, j] for j in range(2)] for i in range(2)]
     )
     block = annihilator_block(ring)
-    _, pole, order0, order1 = _reduction_heads(numerator)
+    pole, order0, order1 = _reduction_heads(numerator)
     products = (pole, order0 * block, block * order0, block * order1 * block)
     return ResidueQuadruple(*(_solve_multiple(x, block) for x in products))
 
