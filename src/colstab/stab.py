@@ -95,9 +95,8 @@ def check_stab(m: Mat) -> StabMatrix:
         raise ShapeError(f"a stabilizer is 3x3, not {m.nrows}x{m.ncols}")
     col = column(m.ring)
     image = m.apply_column(col)
-    defect = [img - c for img, c in zip(image, col)]
-    if any(defect):
-        raise NotStabilizingError(defect)
+    if image != col:
+        raise NotStabilizingError([img - c for img, c in zip(image, col)])
     det = m.det()
     if not det.is_unit():
         raise NotAUnitError(det)
@@ -140,19 +139,23 @@ class ReductionParts:
         return self.pole + (identity(self.pole.ring, 2) + inner).scale(c3)
 
 
-def _reduction_heads(n: Mat) -> tuple[Mat, Mat, Mat]:
+def _minus_c3(n: Mat) -> list:
+    """The rows of a reduced numerator with c3 off its two diagonal entries."""
+    c3 = n.ring.c(3)
+    return [[x - c3 if i == j else x for j, x in enumerate(r)] for i, r in enumerate(n.rows)]
+
+
+def _reduction_heads(n: Mat) -> tuple:
     """Heads 0, 1 and 2 along c3 of a reduced numerator minus c3 times the
-    identity, entrywise: the pole, order0 and order1."""
-    diff = n - identity(n.ring, 2).scale(n.ring.c(3))
-    heads = [[c_heads(x, 3, 3) for x in row] for row in diff.rows]
-    return tuple(Mat([[h[level] for h in row] for row in heads]) for level in range(3))
+    identity, entrywise: the pole, order0 and order1, each as its rows."""
+    heads = [[c_heads(x, 3, 3) for x in row] for row in _minus_c3(n)]
+    return tuple(tuple(tuple(h[level] for h in row) for row in heads) for level in range(3))
 
 
 def r_decompose(n: Mat) -> ReductionParts:
     """Entrywise split of a reduced numerator minus c3 times the identity:
     heads 0, 1 and 2 along c3 are the pole, order0 and order1."""
-    diff = n - identity(n.ring, 2).scale(n.ring.c(3))
-    decs = [[c_adic_decompose(x, 3, 3) for x in row] for row in diff.rows]
+    decs = [[c_adic_decompose(x, 3, 3) for x in row] for row in _minus_c3(n)]
     pole, order0, order1 = (
         Mat([[d.heads[level] for d in row] for row in decs]) for level in range(3)
     )
@@ -183,25 +186,15 @@ class ResidueQuadruple:
         )
 
 
-def _solve_multiple(m: Mat, block: Mat) -> RingElement:
-    """The unique scalar s with m = s * block, checking all four entries."""
-    try:
-        s = m[0, 0].divide_exact(block[0, 0])
-    except NotDivisibleError as exc:
-        raise RelationFailedError(f"inexact division in residue relation: {exc}") from exc
-    if block.scale(s) != m:
-        raise RelationFailedError("matrix is not a scalar multiple of the block")
-    return s
-
-
-def _solve_vector_multiple(w, base) -> RingElement:
-    """The unique scalar s with w = s * base, for a pair base whose first
-    entry is c1 or c2; raises as ``_solve_multiple`` does."""
+def _solve_multiple(w, base) -> RingElement:
+    """The unique scalar s with w = s * base, entry by entry, for a sequence
+    base whose first entry is a product of c_i powers: one exact division
+    fixes s, and the remaining entries are compared."""
     try:
         s = w[0].divide_exact(base[0])
     except NotDivisibleError as exc:
         raise RelationFailedError(f"inexact division in residue relation: {exc}") from exc
-    if w[1] != s * base[1]:
+    if any(x != s * y for x, y in zip(w[1:], base[1:])):
         raise RelationFailedError("matrix is not a scalar multiple of the block")
     return s
 
@@ -215,7 +208,8 @@ def residues(a: StabMatrix) -> ResidueQuadruple:
     The block has rank one, ``u*v^T`` with ``u = (c1, c2)`` and
     ``v = (c2, -c1)``, and neither vector is zero, so over a domain the middle
     two relations are the vector relations ``order0*u = beta*u`` and
-    ``v^T*order0 = gamma*v^T``, solved and checked as such.  Since
+    ``v^T*order0 = gamma*v^T``.  Each relation, the pole's on four entries,
+    is one exact division and a comparison of the remaining entries.  Since
     ``block*X*block = (v^T*X*u)*block`` for every X, ``delta`` is
     ``v^T*order1*u``, the trace of ``order1*block``, and its relation holds
     whatever order1 is.  Every relation holds on a matrix that fixes the
@@ -229,30 +223,27 @@ def residues(a: StabMatrix) -> ResidueQuadruple:
     ring = a.ring
     c1, c2 = ring.c(1), ring.c(2)
     u, v = (c1, c2), (c2, -c1)
-    block = annihilator_block(ring)
+    block = annihilator_block(ring).rows
     pole, order0, order1 = _reduction_heads(reduce(a))
-    alpha = _solve_multiple(pole, block)
-    beta = _solve_vector_multiple([_dot(row, u) for row in order0.rows], u)
-    gamma = _solve_vector_multiple([_dot(v, col) for col in zip(*order0.rows)], v)
-    delta = _dot(
-        [x for row in order1.rows for x in row], [y for col in zip(*block.rows) for y in col]
-    )
+    alpha = _solve_multiple(pole[0] + pole[1], block[0] + block[1])
+    beta = _solve_multiple([_dot(row, u) for row in order0], u)
+    gamma = _solve_multiple([_dot(v, col) for col in zip(*order0)], v)
+    delta = _dot(order1[0] + order1[1], [y for col in zip(*block) for y in col])
     return ResidueQuadruple(alpha, beta, gamma, delta)
 
 
 def residues_closed_form(a: StabMatrix) -> ResidueQuadruple:
-    """Residues from closed formulas in the c3-heads of the matrix minus identity;
-    the route ``rho`` takes."""
-    ring = a.ring
-    c1, c2 = ring.c(1), ring.c(2)
-    diff = a.mat - identity(ring, 3)
+    """Residues from closed formulas in the c3-heads of the entries of the
+    matrix minus identity, each read off one entry; the route ``rho`` takes."""
+    m, ring = a.mat, a.ring
+    c1, c2, one = ring.c(1), ring.c(2), ring.one
 
-    a11_0, a11_1 = c_heads(diff[0, 0], 3, 2)
-    a12_0, a12_1 = c_heads(diff[0, 1], 3, 2)
-    a21_0, a21_1 = c_heads(diff[1, 0], 3, 2)
-    a22_0, a22_1 = c_heads(diff[1, 1], 3, 2)
-    a31_0, a31_1 = c_heads(diff[2, 0], 3, 2)
-    a32_0, a32_1 = c_heads(diff[2, 1], 3, 2)
+    a11_0, a11_1 = c_heads(m[0, 0] - one, 3, 2)
+    _, a12_1 = c_heads(m[0, 1], 3, 2)
+    a21_0, a21_1 = c_heads(m[1, 0], 3, 2)
+    _, a22_1 = c_heads(m[1, 1] - one, 3, 2)
+    a31_0, a31_1 = c_heads(m[2, 0], 3, 2)
+    a32_0, a32_1 = c_heads(m[2, 1], 3, 2)
     try:
         alpha = (-a31_0).divide_exact(c2)
         alpha_check = a32_0.divide_exact(c1)
@@ -301,7 +292,10 @@ class CongruenceMatrix:
     mat: Mat
 
     def __post_init__(self):
-        if not in_scheme(self.mat):
+        m = self.mat
+        if m.nrows != 2 or m.ncols != 2:
+            raise ShapeError(f"a congruence matrix is 2x2, not {m.nrows}x{m.ncols}")
+        if not in_scheme(m):
             raise NotInSchemeError("matrix does not satisfy the congruence scheme")
 
     @property
@@ -489,8 +483,10 @@ def preimage(
     # Exact: mu involves variable 1 only and vanishes at the base point.
     result = first * second * gen_S(ring, 1, 3, mu.divide_exact(c1))
 
-    image = rho(result)
-    if image.mat != b.mat:
+    # The guard compares rho's matrix with b and runs no scheme test: a
+    # matrix equal to the validated input lies in the scheme.
+    image = residues_closed_form(result).to_matrix()
+    if image != b.mat:
         raise RuntimeError("preimage: rho of the lift differs from the target")
     # det(result) = det(b), with no 3x3 expansion: each lift's determinant is
     # that of its 2x2 source, as both defects are zero; the correction and
@@ -498,7 +494,7 @@ def preimage(
     transcript = {
         "image_matches": True,
         "determinant": format_element(b.mat.det()),
-        "rho": [[format_element(x) for x in row] for row in image.mat.rows],
+        "rho": [[format_element(x) for x in row] for row in image.rows],
     }
     return PreimageReport(status="SUCCESS", preimage=result, transcript=transcript)
 
@@ -506,10 +502,10 @@ def preimage(
 def in_H(a: StabMatrix) -> bool:
     """Membership in the explicit kernel subgroup: the matrix minus identity has
     first two columns divisible by c3^2 and last column divisible by c3."""
-    diff = a.mat - identity(a.ring, 3)
+    one = a.ring.one
     # c3^t divides x exactly when the first t heads of x along c3 vanish.
     return not any(
-        any(c_heads(x, 3, 1 if j == 2 else 2))
-        for row in diff.rows
+        any(c_heads(x - one if i == j else x, 3, 1 if j == 2 else 2))
+        for i, row in enumerate(a.mat.rows)
         for j, x in enumerate(row)
     )

@@ -153,8 +153,8 @@ def stab2_param(m: Mat) -> RingElement:
     ring = m.ring
     col = [ring.c(1), ring.c(2)]
     image = m.apply_column(col)
-    defect = [img - c for img, c in zip(image, col)]
-    if any(defect):
+    if image != col:
+        defect = [img - c for img, c in zip(image, col)]
         raise NotInStab2Error("matrix does not stabilize the column", defect)
     det = m.det()
     if det != ring.one:

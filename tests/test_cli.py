@@ -102,6 +102,14 @@ def test_wrong_shape_input_exits_3_naming_the_shape(capsys, subcommand):
     assert payload["error"] == "domain"
     assert payload["message"] == "a stabilizer is 3x3, not 2x2"
 
+def test_wrong_shape_preimage_input_exits_3_naming_the_shape(capsys):
+    doc = _identity_document([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    code, out, _ = run_cli(capsys, "preimage", "--inline", doc)
+    payload = json.loads(out)
+    assert code == 3
+    assert payload["error"] == "domain"
+    assert payload["message"] == "a congruence matrix is 2x2, not 3x3"
+
 def test_check_stab_reports_defect_and_exits_1(capsys):
     doc = _doc(transvection(POLY3, 3, 1, 2, POLY3.one))
     code, out, _ = run_cli(capsys, "check-stab", "--inline", doc)

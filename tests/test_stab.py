@@ -14,6 +14,7 @@ from colstab import (
     Mat,
     Mode,
     NotAUnitError,
+    NotDivisibleError,
     NotInSchemeError,
     NotStabilizingError,
     Letter,
@@ -51,15 +52,13 @@ from colstab.stab import (
     ResidueQuadruple,
     SearchBudget,
     StabMatrix,
-    _reduction_heads,
-    _solve_multiple,
     candidate_from_splits,
     matrix_from_splits,
 )
 
 from colstab.cli import main
 from colstab.matrix import mat_to_document, promote
-from colstab.ring import Coeff, _divide_c, format_element
+from colstab.ring import Coeff, _divide_c, c_heads, format_element
 from colstab.tame import S_INDICES, T_INDICES
 from colstab.verify import _random_element, _random_scheme_zero_defect
 
@@ -132,6 +131,15 @@ def test_check_stab_rejects_a_wrong_shape_by_name(ring3):
     for m in (identity(ring3, 2), zeros(ring3, 3, 2), identity(ring3, 4)):
         with pytest.raises(ShapeError, match=f"not {m.nrows}x{m.ncols}$"):
             check_stab(m)
+
+
+def test_congruence_matrix_rejects_a_wrong_shape_by_name(ring3):
+    # in_scheme stays a predicate; the validating constructor names the shape.
+    for m in (identity(ring3, 3), zeros(ring3, 2, 3)):
+        assert not in_scheme(m)
+        message = f"^a congruence matrix is 2x2, not {m.nrows}x{m.ncols}$"
+        with pytest.raises(ShapeError, match=message):
+            CongruenceMatrix(m)
 
 
 # -- reduction ---------------------------------------------------------------------
@@ -319,6 +327,25 @@ def test_closed_form_matches_relations_on_samples(ring3):
         assert residues_closed_form(a) == residues(a)
 
 
+def _dense_reduction_heads(n):
+    """Heads 0, 1 and 2 along c3 of n - c3*I, as matrices, the difference
+    taken as a matrix."""
+    diff = n - identity(n.ring, 2).scale(n.ring.c(3))
+    heads = [[c_heads(x, 3, 3) for x in row] for row in diff.rows]
+    return tuple(Mat([[h[level] for h in row] for row in heads]) for level in range(3))
+
+
+def _dense_solve_multiple(m, block):
+    """The unique scalar s with m = s * block, checked as a scaled matrix."""
+    try:
+        s = m[0, 0].divide_exact(block[0, 0])
+    except NotDivisibleError as exc:
+        raise RelationFailedError(f"inexact division in residue relation: {exc}") from exc
+    if block.scale(s) != m:
+        raise RelationFailedError("matrix is not a scalar multiple of the block")
+    return s
+
+
 def _dense_residues(a):
     """The relations route as dense 2x2 block products: the reduced numerator
     entry by entry, then order0*block, block*order0 and block*order1*block
@@ -329,9 +356,9 @@ def _dense_residues(a):
         [[m[i, j] * c3 - ring.c(i + 1) * m[2, j] for j in range(2)] for i in range(2)]
     )
     block = annihilator_block(ring)
-    pole, order0, order1 = _reduction_heads(numerator)
+    pole, order0, order1 = _dense_reduction_heads(numerator)
     products = (pole, order0 * block, block * order0, block * order1 * block)
-    return ResidueQuadruple(*(_solve_multiple(x, block) for x in products))
+    return ResidueQuadruple(*(_dense_solve_multiple(x, block) for x in products))
 
 
 def _outcome(route, a):
@@ -425,6 +452,22 @@ def test_heads_only_callers_divide_by_no_c3(ring3, monkeypatch):
         residues_closed_form(a)
         residues(a)
         in_H(a)
+
+
+def test_residue_maps_build_no_identity_and_scale_no_matrix(monkeypatch):
+    # The maps read the entries they need and compare entries, so none
+    # builds an identity or scales a matrix; their values are unchanged.
+    samples = [_sample(ring, seed, length=8) for ring in (POLY3, LAUR3) for seed in range(6)]
+    samples += [gen_T(ring, 1, 2, 3, ring.c(3)) for ring in (POLY3, LAUR3)]  # in H
+    maps = (rho, residues, residues_closed_form, in_H, lambda a: r_decompose(reduce(a)))
+    expected = [[f(a) for f in maps] for a in samples]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a scaffold matrix")
+
+    monkeypatch.setattr(colstab.stab, "identity", forbidden)
+    monkeypatch.setattr(Mat, "scale", forbidden)
+    assert [[f(a) for f in maps] for a in samples] == expected
 
 
 def test_delta_formula_uses_second_diagonal_head(ring3):
@@ -848,15 +891,16 @@ def test_obstructed_preimage_lifts_nothing(ring3, monkeypatch):
 )
 def test_successful_preimage_certifies_by_construction(make_target, monkeypatch):
     # The lifts are certified by construction and the 2x2 matrices they come
-    # from lie in the scheme by closure, so the one check left is the
-    # scheme test inside the final rho.
+    # from lie in the scheme by closure, so the one check left is the final
+    # residue comparison, which needs no scheme test: its matrix must equal
+    # the validated input.
     report, calls = _logged_preimage(
         monkeypatch,
         make_target(),
-        ("check_stab", "build_preimage_candidate", "in_scheme", "rho"),
+        ("check_stab", "build_preimage_candidate", "in_scheme", "rho", "residues_closed_form"),
     )
     assert report.ok
-    assert calls == ["rho", "in_scheme", "/in_scheme", "/rho"]
+    assert calls == ["residues_closed_form", "/residues_closed_form"]
 
 
 def _scheme_matrices(ring):
@@ -892,10 +936,11 @@ def test_preimage_sources_lie_in_the_scheme_by_closure(ring, data):
     assert check_stab(report.preimage.mat) == report.preimage
 
 
-@pytest.mark.parametrize("fault", ["defect", "image"])
+@pytest.mark.parametrize("fault", ["defect", "image", "image-outside-scheme"])
 def test_preimage_faults_raise_and_exit_4(monkeypatch, capsys, fault):
     # A lift with a nonzero determinant defect, or an image other than the
-    # target, is a fault of preimage, never an obstruction of the input.
+    # target, in the scheme or not, is a fault of preimage, never an
+    # obstruction or a domain error of the input.
     if fault == "defect":
         original = colstab.stab.candidate_from_splits
 
@@ -905,7 +950,10 @@ def test_preimage_faults_raise_and_exit_4(monkeypatch, capsys, fault):
         monkeypatch.setattr(colstab.stab, "candidate_from_splits", faulty)
         message = "^preimage: a lift has determinant defect 1$"
     else:
-        monkeypatch.setattr(colstab.stab, "rho", lambda a: CongruenceMatrix(identity(POLY3, 2)))
+        zero = POLY3.zero
+        alpha = POLY3.var(3) if fault == "image-outside-scheme" else zero
+        image = ResidueQuadruple(alpha, zero, zero, zero)
+        monkeypatch.setattr(colstab.stab, "residues_closed_form", lambda a: image)
         message = "^preimage: rho of the lift differs from the target$"
     target = cohn_matrix(POLY3)
     with pytest.raises(RuntimeError, match=message):
