@@ -13,6 +13,7 @@ and 1 comes with ``{"subcommand", "error", "message"}`` on standard output,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -286,7 +287,11 @@ def _add_input_flags(parser):
     group.add_argument("--inline", help="JSON matrix document as a string")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each handler looks up the library names it calls when it
+    runs."""
     parser = _Parser(
         prog="colstab",
         description="exact column-stabilizer computations over polynomial and "

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .matrix import Mat, NotAUnitError, ShapeError, identity, mat_to_document, transvection
+from .matrix import Mat, NotAUnitError, ShapeError, identity, mat_to_document
 from .ring import (
     ColstabError,
     NotDivisibleError,
@@ -69,8 +69,9 @@ class StabMatrix:
     and ``inverse``, which preserve them; and by construction, for the tame
     generators ``gen_T`` and ``gen_S``, for ``eval_word``, which starts
     from the identity and applies each letter as a column update, and for
-    the lifts in ``preimage``, each ``I + X*Z`` with a zero determinant
-    defect.
+    the lift in ``preimage``: the product of two lifts, each I + X*Z with a
+    zero determinant defect, with the letter S(1, 3; mu/c1) then applied to
+    its columns as the same column update.
     """
 
     mat: Mat
@@ -234,26 +235,35 @@ def residues(a: StabMatrix) -> ResidueQuadruple:
 
 def residues_closed_form(a: StabMatrix) -> ResidueQuadruple:
     """Residues from closed formulas in the c3-heads of the entries of the
-    matrix minus identity, each read off one entry; the route ``rho`` takes."""
+    matrix minus identity, each read off one entry; the route ``rho`` takes.
+
+    The heads are taken of the entries themselves: ``c_heads`` is linear and
+    the heads of 1 are (1, 0), so on the diagonal only head 0 differs, by
+    one, and gamma's sum takes that one off.  gamma, beta and delta are one
+    fused sum each.
+    """
     m, ring = a.mat, a.ring
     c1, c2, one = ring.c(1), ring.c(2), ring.one
 
-    a11_0, a11_1 = c_heads(m[0, 0] - one, 3, 2)
+    a11_0, a11_1 = c_heads(m[0, 0], 3, 2)
     _, a12_1 = c_heads(m[0, 1], 3, 2)
     a21_0, a21_1 = c_heads(m[1, 0], 3, 2)
-    _, a22_1 = c_heads(m[1, 1] - one, 3, 2)
+    _, a22_1 = c_heads(m[1, 1], 3, 2)
     a31_0, a31_1 = c_heads(m[2, 0], 3, 2)
     a32_0, a32_1 = c_heads(m[2, 1], 3, 2)
     try:
         alpha = (-a31_0).divide_exact(c2)
         alpha_check = a32_0.divide_exact(c1)
-        gamma = a11_0 - a21_0.divide_exact(c2) * c1
+        gamma = _dot((a11_0, one, a21_0.divide_exact(c2)), (one, one, c1), (1, -1, -1))
     except NotDivisibleError as exc:
         raise RelationFailedError(f"inexact division in closed form: {exc}") from exc
     if alpha != alpha_check:
         raise RelationFailedError("the two closed forms for alpha disagree")
-    beta = -a31_1 * c1 - a32_1 * c2
-    delta = (a11_1 - a22_1) * c1 * c2 + a12_1 * c2 * c2 - a21_1 * c1 * c1
+    beta = _dot((a31_1, a32_1), (c1, c2), (-1, -1))
+    c1c2 = c1 * c2
+    delta = _dot(
+        (a11_1, a22_1, a12_1, a21_1), (c1c2, c1c2, c2 * c2, c1 * c1), (1, -1, 1, -1)
+    )
     return ResidueQuadruple(alpha, beta, gamma, delta)
 
 
@@ -465,23 +475,27 @@ def preimage(
             status="OBSTRUCTED", stage="transvection-preimage", obstruction=mu
         )
 
+    # The correction t21(-mu*c1*c2) on the right subtracts mu*c1*c2 times
+    # column 2 from column 1.
+    w = mu * c1 * c2
+    corrected = Mat([[_dot((x, w), (ring.one, y), (1, -1)), y] for x, y in remainder.rows])
     # Both sources have a zero defect by construction, so a nonzero defect,
     # like an image other than b below, is a fault of this function: it
     # raises, and is never reported as an obstruction.
-    correction = transvection(ring, 2, 2, 1, -mu * c1 * c2)
     lift_base, defect = candidate_from_splits(canonical_splits(base))
-    lift_corr, defect2 = candidate_from_splits(canonical_splits(remainder * correction))
+    lift_corr, defect2 = candidate_from_splits(canonical_splits(corrected))
     if defect or defect2:
         raise RuntimeError(f"preimage: a lift has determinant defect {defect or defect2}")
+
+    from .tame import Letter, _apply_letter  # deferred; tame builds on this module
+
     # Certified by construction: each lift is I + X*Z, which fixes the
-    # column, and det(lift) = det(source) + defect, a unit.
-    first = StabMatrix(lift_base)
-    second = StabMatrix(lift_corr)
-
-    from .tame import gen_S  # deferred import; tame builds on this module
-
-    # Exact: mu involves variable 1 only and vanishes at the base point.
-    result = first * second * gen_S(ring, 1, 3, mu.divide_exact(c1))
+    # column, and det(lift) = det(source) + defect, a unit; so is their
+    # product, and the letter keeps both.  mu/c1 is exact: mu involves
+    # variable 1 only and vanishes at the base point.
+    cols = list(zip(*(lift_base * lift_corr).rows))
+    _apply_letter(ring, cols, Letter("S", (1, 3), mu.divide_exact(c1)))
+    result = StabMatrix(Mat(zip(*cols)))
 
     # The guard compares rho's matrix with b and runs no scheme test: a
     # matrix equal to the validated input lies in the scheme.
@@ -502,10 +516,13 @@ def preimage(
 def in_H(a: StabMatrix) -> bool:
     """Membership in the explicit kernel subgroup: the matrix minus identity has
     first two columns divisible by c3^2 and last column divisible by c3."""
-    one = a.ring.one
-    # c3^t divides x exactly when the first t heads of x along c3 vanish.
-    return not any(
-        any(c_heads(x - one if i == j else x, 3, 1 if j == 2 else 2))
-        for i, row in enumerate(a.mat.rows)
-        for j, x in enumerate(row)
-    )
+    one, zero = a.ring.one, a.ring.zero
+    # c3^t divides x - [i == j] exactly when the first t heads of x along c3
+    # vanish, head 0 on the diagonal being 1 instead: the heads of 1 are
+    # (1, 0).
+    for i, row in enumerate(a.mat.rows):
+        for j, x in enumerate(row):
+            head0, *rest = c_heads(x, 3, 1 if j == 2 else 2)
+            if head0 != (one if i == j else zero) or any(rest):
+                return False
+    return True

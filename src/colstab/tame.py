@@ -169,39 +169,49 @@ def stab2_param(m: Mat) -> RingElement:
     return a
 
 
+def _apply_letter(ring: RingDescriptor, cols: list, letter: Letter) -> None:
+    """Right-multiply the matrix with columns ``cols`` by one letter, in place.
+
+    The one place a letter multiplies a matrix: ``eval_word``, ``preimage``
+    and the kernel sampler of the verification suites all come here, and no
+    letter matrix or 3x3 product is built.  Right multiplication by
+    ``T(i, j, k; a)`` adds ``a*c_k`` times column i to column j and
+    subtracts ``a*c_j`` times it from column k.  ``S(i, j; a)`` is the
+    identity plus ``a*u*v^T`` with ``u = (c_i, c_j)`` and ``v = (c_j, -c_i)``
+    at rows and columns i, j, so with ``w = a*P*u`` for the matrix P it adds
+    ``c_j*w`` to column i and subtracts ``c_i*w`` from column j.  Every
+    updated entry is one fused sum of products; the unchanged column is
+    shared.  Indices and parameters are checked as ``gen_T`` and ``gen_S``
+    check them.
+    """
+    one = ring.one
+    if letter.kind == "T":
+        i, j, k = letter.indices
+        ack, acj = _T_weights(ring, i, j, k, letter.param)
+        col_i, col_j, col_k = cols[i - 1], cols[j - 1], cols[k - 1]
+        cols[j - 1] = tuple(_dot((x, ack), (one, y)) for x, y in zip(col_j, col_i))
+        cols[k - 1] = tuple(_dot((x, acj), (one, y), (1, -1)) for x, y in zip(col_k, col_i))
+    else:
+        i, j = letter.indices
+        a = _S_param(ring, i, j, letter.param)
+        ci, cj = ring.c(i), ring.c(j)
+        weights = (a * ci, a * cj)
+        col_i, col_j = cols[i - 1], cols[j - 1]
+        w = [_dot(weights, pair) for pair in zip(col_i, col_j)]
+        cols[i - 1] = tuple(_dot((x, cj), (one, y)) for x, y in zip(col_i, w))
+        cols[j - 1] = tuple(_dot((x, ci), (one, y), (1, -1)) for x, y in zip(col_j, w))
+
+
 def eval_word(ring: RingDescriptor, word: TameWord) -> StabMatrix:
     """The product of the word's letters; each letter is certified, so the
     product is too.
 
-    The product is kept as its three columns and each letter is applied as a
-    column update, with no letter matrix and no 3x3 product.  Right
-    multiplication by ``T(i, j, k; a)`` adds ``a*c_k`` times column i to
-    column j and subtracts ``a*c_j`` times it from column k.
-    ``S(i, j; a)`` is the identity plus ``a*u*v^T`` with ``u = (c_i, c_j)``
-    and ``v = (c_j, -c_i)`` at rows and columns i, j, so with ``w = a*P*u``
-    for the product P so far it adds ``c_j*w`` to column i and subtracts
-    ``c_i*w`` from column j.  Every updated entry is one fused sum of
-    products; the unchanged column is shared.  Indices and parameters are
-    checked as ``gen_T`` and ``gen_S`` check them.
+    The product is kept as its three columns, starting from the identity,
+    and each letter is applied as a column update by ``_apply_letter``.
     """
-    one = ring.one
     cols = list(identity(ring, 3).rows)  # the identity's columns are its rows
     for letter in word.letters:
-        if letter.kind == "T":
-            i, j, k = letter.indices
-            ack, acj = _T_weights(ring, i, j, k, letter.param)
-            col_i, col_j, col_k = cols[i - 1], cols[j - 1], cols[k - 1]
-            cols[j - 1] = tuple(_dot((x, ack), (one, y)) for x, y in zip(col_j, col_i))
-            cols[k - 1] = tuple(_dot((x, acj), (one, y), (1, -1)) for x, y in zip(col_k, col_i))
-        else:
-            i, j = letter.indices
-            a = _S_param(ring, i, j, letter.param)
-            ci, cj = ring.c(i), ring.c(j)
-            weights = (a * ci, a * cj)
-            col_i, col_j = cols[i - 1], cols[j - 1]
-            w = [_dot(weights, pair) for pair in zip(col_i, col_j)]
-            cols[i - 1] = tuple(_dot((x, cj), (one, y)) for x, y in zip(col_i, w))
-            cols[j - 1] = tuple(_dot((x, ci), (one, y), (1, -1)) for x, y in zip(col_j, w))
+        _apply_letter(ring, cols, letter)
     return StabMatrix(Mat(zip(*cols)))
 
 

@@ -41,10 +41,9 @@ from .tame import (
     T_INDICES,
     Letter,
     NotInStab2Error,
+    TameWord,
     cohn_matrix,
     eval_word,
-    gen_S,
-    gen_T,
     prop2_check,
     sample_tame,
     stab2,
@@ -285,21 +284,23 @@ def suite_preimage(ring, trials, seed):
 
 
 def _sample_kernel_member(rng, ring, max_len=4):
+    """A product of one to max_len letters of H, evaluated by ``eval_word``."""
     c3 = ring.c(3)
     c3_sq = c3 * c3
     kinds = (
-        lambda p: gen_T(ring, 1, 2, 3, p * c3),
-        lambda p: gen_T(ring, 2, 1, 3, p * c3),
-        lambda p: gen_T(ring, 3, 1, 2, p * c3_sq),
-        lambda p: gen_S(ring, 1, 3, p * c3),
-        lambda p: gen_S(ring, 2, 3, p * c3),
-        lambda p: gen_S(ring, 1, 2, p * c3_sq),
+        ("T", (1, 2, 3), c3),
+        ("T", (2, 1, 3), c3),
+        ("T", (3, 1, 2), c3_sq),
+        ("S", (1, 3), c3),
+        ("S", (2, 3), c3),
+        ("S", (1, 2), c3_sq),
     )
-    result = check_stab(identity(ring, 3))
+    letters = []
     for _ in range(rng.randint(1, max_len)):
         p = _random_element(rng, ring, max_terms=2, bound=2)
-        result = result * rng.choice(kinds)(p)
-    return result
+        kind, indices, weight = rng.choice(kinds)
+        letters.append(Letter(kind, indices, p * weight))
+    return eval_word(ring, TameWord(tuple(letters)))
 
 
 def suite_kernel(ring, trials, seed):

@@ -562,3 +562,23 @@ def test_fuzzed_integer_flags_exit_with_a_documented_code(capsys, data):
         for name in ("seed", "nvars"):
             argv += data.draw(_flag(name, _integers(-99, 99)))
     _assert_documented(capsys, argv)
+
+def test_two_calls_build_one_parser_and_print_the_same_bytes(capsys, monkeypatch):
+    # The parser is built once per process, and a second call through it
+    # prints what the first did.
+    built = []
+    init = colstab.cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "colstab":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(colstab.cli._Parser, "__init__", counted)
+    colstab.cli.build_parser.cache_clear()
+    argv = ("verify", "--suite", "kernel", "--trials", "2", "--seed", "5")
+    first = run_cli(capsys, *argv)
+    second = run_cli(capsys, *argv)
+    assert len(built) == 1
+    assert first == second and first[0] == 0
+    assert colstab.cli.build_parser() is built[0]

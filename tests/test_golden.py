@@ -78,6 +78,9 @@ CASES = {
     "tame_sample_polynomial": ["tame-sample", "--seed", "4", "--length", "4"],
     "tame_sample_laurent": ["tame-sample", "--mode", "laurent", "--seed", "4", "--length", "4"],
     "verify_all": ["verify", "--suite", "all", "--mode", "both", "--trials", "3", "--seed", "11"],
+    "verify_all_rat": [
+        "verify", "--suite", "all", "--mode", "both", "--coeff", "rat", "--trials", "3", "--seed", "11",
+    ],
 }
 
 

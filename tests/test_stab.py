@@ -3,6 +3,7 @@ import inspect
 import json
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,7 @@ from colstab.stab import (
     SearchBudget,
     StabMatrix,
     candidate_from_splits,
+    canonical_splits,
     matrix_from_splits,
 )
 
@@ -60,7 +62,7 @@ from colstab.cli import main
 from colstab.matrix import mat_to_document, promote
 from colstab.ring import Coeff, _divide_c, c_heads, format_element
 from colstab.tame import S_INDICES, T_INDICES
-from colstab.verify import _random_element, _random_scheme_zero_defect
+from colstab.verify import _random_element, _random_scheme_zero_defect, _sample_kernel_member
 
 import reference_ring as ref
 from conftest import LAUR3, POLY3, conjugator, elements, words, zeros
@@ -434,6 +436,85 @@ def test_residues_fail_as_the_dense_route_does_on_any_matrix(ring, data):
     assert _outcome(residues, a) == _outcome(_dense_residues, a)
 
 
+def _parent_residues_closed_form(a):
+    """The closed form as it stood before its sums were fused: the heads of
+    the entries of the matrix minus identity, then one product or difference
+    at a time."""
+    m, ring = a.mat, a.ring
+    c1, c2, one = ring.c(1), ring.c(2), ring.one
+
+    a11_0, a11_1 = c_heads(m[0, 0] - one, 3, 2)
+    _, a12_1 = c_heads(m[0, 1], 3, 2)
+    a21_0, a21_1 = c_heads(m[1, 0], 3, 2)
+    _, a22_1 = c_heads(m[1, 1] - one, 3, 2)
+    a31_0, a31_1 = c_heads(m[2, 0], 3, 2)
+    a32_0, a32_1 = c_heads(m[2, 1], 3, 2)
+    try:
+        alpha = (-a31_0).divide_exact(c2)
+        alpha_check = a32_0.divide_exact(c1)
+        gamma = a11_0 - a21_0.divide_exact(c2) * c1
+    except NotDivisibleError as exc:
+        raise RelationFailedError(f"inexact division in closed form: {exc}") from exc
+    if alpha != alpha_check:
+        raise RelationFailedError("the two closed forms for alpha disagree")
+    beta = -a31_1 * c1 - a32_1 * c2
+    delta = (a11_1 - a22_1) * c1 * c2 + a12_1 * c2 * c2 - a21_1 * c1 * c1
+    return ResidueQuadruple(alpha, beta, gamma, delta)
+
+
+# Both modes, both coefficient domains, three and four variables.
+RINGS = [
+    RingDescriptor(mode, nvars, coeff) for mode in Mode for coeff in Coeff for nvars in (3, 4)
+]
+
+
+def _ring_id(ring):
+    return f"{ring.mode.value}-{ring.coeff.value}-{ring.nvars}"
+
+
+RINGS3 = [ring for ring in RINGS if ring.nvars == 3]
+
+
+def _coefficients(ring, strategy):
+    """Elements of a strategy; over the rationals, divided by 1 to 5."""
+    if ring.coeff is Coeff.INTEGERS:
+        return strategy
+    return st.builds(lambda x, d: x * ring.const(Fraction(1, d)), strategy, st.integers(1, 5))
+
+
+def test_closed_form_fails_with_each_message_as_its_parent_body(ring3):
+    one, c1, c2 = ring3.one, ring3.c(1), ring3.c(2)
+    inexact = "inexact division in closed form: not divisible by "
+    cases = [
+        ({(3, 1): one}, inexact + "c2"),  # alpha
+        ({(3, 2): one}, inexact + "c1"),  # its check
+        ({(2, 1): one}, inexact + "c2"),  # gamma
+        ({(3, 1): -c2, (3, 2): 2 * c1}, "the two closed forms for alpha disagree"),
+    ]
+    for entries, message in cases:
+        a = _broken(ring3, entries)
+        assert _outcome(residues_closed_form, a) == message
+        assert _outcome(_parent_residues_closed_form, a) == message
+
+
+@pytest.mark.parametrize("ring", RINGS3, ids=_ring_id)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_closed_form_matches_its_parent_body(ring, data):
+    # Words give stabilizers; the identity plus up to four arbitrary entries
+    # gives StabMatrix wrapped around matrices that mostly are not, which
+    # fail with each of the three RelationFailedError messages.
+    params = _coefficients(ring, elements(ring, max_terms=2, max_deg=2))
+    broken = st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 3)), params, max_size=4)
+    a = data.draw(
+        st.one_of(
+            words(ring, max_length=6).map(lambda word: eval_word(ring, word)),
+            broken.map(lambda entries: _broken(ring, entries)),
+        )
+    )
+    assert _outcome(residues_closed_form, a) == _outcome(_parent_residues_closed_form, a)
+
+
 def test_heads_only_callers_divide_by_no_c3(ring3, monkeypatch):
     # The residues, rho and in_H read heads along c3 only; none needs the
     # quotient by c3 that a tail would.
@@ -641,16 +722,6 @@ def _random_coordinate(rng, ring):
     if ring.coeff is Coeff.RATIONALS:
         g = RingElement(ring, {e: c / rng.randint(1, 4) for e, c in g.terms.items()})
     return g
-
-
-# Both modes, both coefficient domains, three and four variables.
-RINGS = [
-    RingDescriptor(mode, nvars, coeff) for mode in Mode for coeff in Coeff for nvars in (3, 4)
-]
-
-
-def _ring_id(ring):
-    return f"{ring.mode.value}-{ring.coeff.value}-{ring.nvars}"
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=_ring_id)
@@ -903,6 +974,44 @@ def test_successful_preimage_certifies_by_construction(make_target, monkeypatch)
     assert calls == ["residues_closed_form", "/residues_closed_form"]
 
 
+def _parent_preimage(b):
+    """The lift of a liftable scheme matrix as preimage assembled it before
+    letters became column updates: the correction as a transvection and a
+    2x2 product, then first * second * gen_S(ring, 1, 3, mu/c1)."""
+    ring = b.ring
+    c1, c2 = ring.c(1), ring.c(2)
+    base = b.mat.map(lambda x: x.specialize(2))
+    remainder = base.inverse() * b.mat
+    _, mu, _, _ = delta_split_quadratic(remainder[1, 0])
+    correction = transvection(ring, 2, 2, 1, -mu * c1 * c2)
+    lift_base, _ = candidate_from_splits(canonical_splits(base))
+    lift_corr, _ = candidate_from_splits(canonical_splits(remainder * correction))
+    first, second = StabMatrix(lift_base), StabMatrix(lift_corr)
+    return first * second * gen_S(ring, 1, 3, mu.divide_exact(c1))
+
+
+def _liftable_targets(ring, seed, count=6):
+    """Seeded rho images of words, promoted to ring, and in polynomial mode
+    the Cohn matrix."""
+    ring3 = RingDescriptor(ring.mode, 3, ring.coeff)
+    rng = random.Random(seed)
+    targets = [
+        CongruenceMatrix(promote(rho(_sample(ring3, rng.getrandbits(32), rng.randint(1, 6))).mat, ring))
+        for _ in range(count)
+    ]
+    if ring.mode is Mode.POLYNOMIAL:
+        targets.append(CongruenceMatrix(cohn_matrix(ring)))
+    return targets
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=_ring_id)
+def test_preimage_equals_the_parent_assembly(ring):
+    for target in _liftable_targets(ring, 7919):
+        report = preimage(target)
+        assert report.ok
+        assert report.preimage == _parent_preimage(target)
+
+
 def _scheme_matrices(ring):
     """Scheme matrices from two sources: rho images of sampled tame words,
     and the zero-defect families of the preimage suite."""
@@ -1017,6 +1126,53 @@ def test_kernel_examples(ring3):
     assert rho(t).mat == identity(ring3, 2)
 
     assert not in_H(gen_T(ring3, 1, 2, 3, ring3.one))
+
+
+def _parent_kernel_member(rng, ring, max_len=4):
+    """The kernel sampler as it stood before it evaluated a word: a chain of
+    3x3 products of letter matrices, from the certified identity."""
+    c3 = ring.c(3)
+    c3_sq = c3 * c3
+    kinds = (
+        lambda p: gen_T(ring, 1, 2, 3, p * c3),
+        lambda p: gen_T(ring, 2, 1, 3, p * c3),
+        lambda p: gen_T(ring, 3, 1, 2, p * c3_sq),
+        lambda p: gen_S(ring, 1, 3, p * c3),
+        lambda p: gen_S(ring, 2, 3, p * c3),
+        lambda p: gen_S(ring, 1, 2, p * c3_sq),
+    )
+    result = check_stab(identity(ring, 3))
+    for _ in range(rng.randint(1, max_len)):
+        p = _random_element(rng, ring, max_terms=2, bound=2)
+        result = result * rng.choice(kinds)(p)
+    return result
+
+
+@pytest.mark.parametrize("ring", RINGS3, ids=_ring_id)
+def test_kernel_sampler_matches_the_parent_product_chain(ring):
+    for seed in range(25):
+        rng, parent_rng = random.Random(seed), random.Random(seed)
+        assert _sample_kernel_member(rng, ring) == _parent_kernel_member(parent_rng, ring)
+        assert rng.getstate() == parent_rng.getstate()
+
+
+def test_preimage_and_kernel_sampler_build_no_letter_matrix(ring3, monkeypatch):
+    # Both apply their letters as column updates, through the route
+    # eval_word takes; neither builds a letter matrix or a transvection.
+    targets = _liftable_targets(ring3, 11)
+    expected = [preimage(target).preimage for target in targets]
+    members = [_sample_kernel_member(random.Random(seed), ring3) for seed in range(8)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a letter matrix or a transvection")
+
+    for module in (colstab.matrix, colstab.stab, colstab.tame, colstab.verify):
+        for name in ("gen_S", "gen_T", "transvection"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(Letter, "evaluate", forbidden)
+    assert [preimage(target).preimage for target in targets] == expected
+    assert [_sample_kernel_member(random.Random(seed), ring3) for seed in range(8)] == members
 
 
 def test_kernel_members_map_to_identity(ring3):
