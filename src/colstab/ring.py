@@ -622,12 +622,14 @@ def c_adic_decompose(g: RingElement, k: int, t: int) -> CAdicDecomposition:
 
 def c_heads(g: RingElement, k: int, t: int) -> tuple:
     """The first t heads of g along powers of c_k, as ``c_adic_decompose``
-    peels them, in one pass over the terms and with no division.
+    peels them, with no division.
 
     The heads are the Taylor coefficients of g in c_k at the base point.  In
-    polynomial mode head i is the terms of a_k-degree i with a_k removed.  In
-    Laurent mode a_k^e = (1 + c_k)^e, so a term contributes its coefficient
-    times the binomial C(e, i) to head i, for negative e too.
+    polynomial mode head i is the terms of a_k-degree i with a_k removed, read
+    in one pass over the terms.  In Laurent mode a_k^e = (1 + c_k)^e, so a
+    term contributes its coefficient times the binomial C(e, i) to head i, for
+    negative e too; the terms are grouped by e first, so each binomial is
+    taken once per exponent of a_k rather than once per term.
     """
     if not 1 <= t <= MAX_DEPTH:
         raise OutOfRangeError(f"depth must lie in 1..{MAX_DEPTH}")
@@ -644,13 +646,22 @@ def c_heads(g: RingElement, k: int, t: int) -> tuple:
             if e < t:
                 accs[e][key - field + zero] = coeff
         return tuple(_element(ring, acc, g._span) for acc in accs)
+    # Terms of one exponent e differ outside field k, so within a group the
+    # keys stay distinct when field k is reset to exponent 0.
+    groups: dict = {}
     for key, coeff in g._terms.items():
         field = key & mask
+        group = groups.get(field)
+        if group is None:
+            groups[field] = group = []
+        group.append((key + zero - field, coeff))
+    for field, group in groups.items():
         e = (field >> shift) - _BIAS
-        key += zero - field
         binomial = 1
         for i, acc in enumerate(accs):
-            acc[key] = acc.get(key, 0) + binomial * coeff
+            get = acc.get
+            for key, coeff in group:
+                acc[key] = get(key, 0) + binomial * coeff
             # C(e, i + 1) = C(e, i) * (e - i) / (i + 1), an exact division;
             # zero from i = e on when e >= 0.
             binomial = binomial * (e - i) // (i + 1)
@@ -736,16 +747,20 @@ _TOKEN = re.compile(r"\s*(\d+|a\d+|[+\-*/^]|\S)")
 # " - ", the first one optionally led by "-"; a term is a coefficient, a
 # monomial, or both joined by "*"; a monomial is "*"-joined factors aN or
 # aN^e.  Integer rings print no denominators, so their pattern admits none.
-_MONOMIAL = r"a\d+(?:\^-?\d+)?(?:\*a\d+(?:\^-?\d+)?)*"
+# Every quantifier is possessive and the term alternation atomic, so a match
+# keeps no backtracking state: each repetition and alternative begins with a
+# character that nothing after it can consume ("a", a digit, "^", "*", "/",
+# a space), so giving characters back could never turn a failure into a match.
+_MONOMIAL = r"a\d++(?:\^-?+\d++)?+(?:\*a\d++(?:\^-?+\d++)?+)*+"
 
 
 def _canonical(fraction: str) -> re.Pattern:
-    term = rf"(?:\d+{fraction}(?:\*{_MONOMIAL})?|{_MONOMIAL})"
-    return re.compile(rf"-?{term}(?: [+-] {term})*", re.ASCII)
+    term = rf"(?>\d++{fraction}(?:\*{_MONOMIAL})?+|{_MONOMIAL})"
+    return re.compile(rf"-?+{term}(?: [+-] {term})*+", re.ASCII)
 
 
 _CANONICAL_INT = _canonical("")
-_CANONICAL_RAT = _canonical(r"(?:/\d+)?")
+_CANONICAL_RAT = _canonical(r"(?:/\d++)?+")
 
 _MEMO_SIZE = 4096
 """Entries of each monomial memo of the codec, over all rings.  The matrices

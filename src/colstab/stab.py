@@ -239,8 +239,8 @@ def residues_closed_form(a: StabMatrix) -> ResidueQuadruple:
 
     The heads are taken of the entries themselves: ``c_heads`` is linear and
     the heads of 1 are (1, 0), so on the diagonal only head 0 differs, by
-    one, and gamma's sum takes that one off.  gamma, beta and delta are one
-    fused sum each.
+    one, and gamma's sum takes that one off.  gamma and beta are one fused
+    sum each, and delta is two nested ones.
     """
     m, ring = a.mat, a.ring
     c1, c2, one = ring.c(1), ring.c(2), ring.one
@@ -260,10 +260,10 @@ def residues_closed_form(a: StabMatrix) -> ResidueQuadruple:
     if alpha != alpha_check:
         raise RelationFailedError("the two closed forms for alpha disagree")
     beta = _dot((a31_1, a32_1), (c1, c2), (-1, -1))
-    c1c2 = c1 * c2
-    delta = _dot(
-        (a11_1, a22_1, a12_1, a21_1), (c1c2, c1c2, c2 * c2, c1 * c1), (1, -1, 1, -1)
-    )
+    # delta = c2*x - c1*(a21_1*c1) with x = (a11_1 - a22_1)*c1 + a12_1*c2,
+    # so no product of two c_i is formed.
+    x = _dot((a11_1, a22_1, a12_1), (c1, c1, c2), (1, -1, 1))
+    delta = _dot((x, a21_1 * c1), (c2, c1), (1, -1))
     return ResidueQuadruple(alpha, beta, gamma, delta)
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from colstab import Letter, Mat, Mode, RingDescriptor, RingElement, TameWord
+from colstab import Coeff, Letter, Mat, Mode, RingDescriptor, RingElement, TameWord
 from colstab.tame import S_INDICES, T_INDICES
 
 POLY2 = RingDescriptor(Mode.POLYNOMIAL, 2)
@@ -29,10 +29,15 @@ def conjugator(ring):
 
 
 def elements(ring, max_terms=4, bound=4, max_deg=3):
-    """Strategy producing random elements of the given ring, zero included."""
+    """Strategy producing random elements of the given ring, zero included,
+    with coefficients of magnitude at most bound; in rational rings they are
+    fractions with denominators up to 3."""
     low = 0 if ring.mode is Mode.POLYNOMIAL else -2
     exps = st.tuples(*([st.integers(low, max_deg)] * ring.nvars))
-    coeffs = st.integers(-bound, bound).filter(bool)
+    if ring.coeff is Coeff.RATIONALS:
+        coeffs = st.fractions(-bound, bound, max_denominator=3).filter(bool)
+    else:
+        coeffs = st.integers(-bound, bound).filter(bool)
     return st.dictionaries(exps, coeffs, max_size=max_terms).map(
         lambda d: RingElement(ring, d)
     )

@@ -376,21 +376,6 @@ def _ring_id(ring):
     return f"{ring.mode.value}-{ring.coeff.value}-{ring.nvars}"
 
 
-def _coefficients(ring):
-    if ring.coeff is Coeff.RATIONALS:
-        return st.fractions(-4, 4, max_denominator=3).filter(bool)
-    return st.integers(-4, 4).filter(bool)
-
-
-def _any_elements(ring, max_terms=4):
-    """Elements with exponents -2..3 in Laurent mode, 0..3 otherwise, and
-    fractional coefficients in rational rings."""
-    low = 0 if ring.mode is Mode.POLYNOMIAL else -2
-    exps = st.tuples(*([st.integers(low, 3)] * ring.nvars))
-    terms = st.dictionaries(exps, _coefficients(ring), max_size=max_terms)
-    return terms.map(lambda d: RingElement(ring, d))
-
-
 def _in_delta_by_heads(g, p):
     """The route ``in_delta`` replaced: g at the base point, then the linear
     head of g along each c_k there."""
@@ -407,11 +392,11 @@ def _in_delta_by_heads(g, p):
 def test_in_delta_matches_the_heads_route(ring, data):
     # Multiplying by up to two c_k makes members of the ideal and of its
     # square common draws; adding a second element makes near misses.
-    g = data.draw(_any_elements(ring))
+    g = data.draw(elements(ring))
     for k in data.draw(st.lists(st.integers(1, ring.nvars), max_size=2)):
         g = g * ring.c(k)
     if data.draw(st.booleans()):
-        h = data.draw(_any_elements(ring, max_terms=2))
+        h = data.draw(elements(ring, max_terms=2))
         g = g + h * ring.c(data.draw(st.integers(1, ring.nvars)))
     for p in (1, 2):
         assert in_delta(g, p) == _in_delta_by_heads(g, p)
@@ -435,9 +420,9 @@ def test_in_delta_reads_the_gradient_of_every_variable():
 def test_two_variable_matches_free_of(ring, data):
     # Half the draws are promoted from the first two variables.
     low = RingDescriptor(ring.mode, min(ring.nvars, 2), ring.coeff)
-    g = data.draw(_any_elements(low)).promote(ring)
+    g = data.draw(elements(low)).promote(ring)
     if data.draw(st.booleans()):
-        g = g + data.draw(_any_elements(ring, max_terms=1))
+        g = g + data.draw(elements(ring, max_terms=1))
     assert _two_variable(g) == all(g.free_of(k) for k in range(3, ring.nvars + 1))
 
 
@@ -531,11 +516,11 @@ def test_splits_match_the_division_route(ring, data):
     # members of the ideal and of its square; an added multiple of some c_k
     # makes near misses and, from three variables on, inputs involving a3.
     plane = RingDescriptor(ring.mode, 2, ring.coeff)
-    g = data.draw(_any_elements(plane)).promote(ring)
+    g = data.draw(elements(plane)).promote(ring)
     for k in data.draw(st.lists(st.integers(1, 2), max_size=2)):
         g = g * ring.c(k)
     if data.draw(st.booleans()):
-        h = data.draw(_any_elements(ring, max_terms=2))
+        h = data.draw(elements(ring, max_terms=2))
         g = g + h * ring.c(data.draw(st.integers(1, ring.nvars)))
     for split, oracle in (
         (delta_split_linear, _linear_split_by_division),

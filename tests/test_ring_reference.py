@@ -133,9 +133,17 @@ def test_specialize_and_division_match_the_tuple_kernel(data):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_c_heads_match_the_tuple_kernel(data):
-    rings_ = data.draw(rings())
+    # Half the draws are three-variable Laurent elements of up to 40 terms,
+    # so that several terms share an exponent of a_k and their keys off
+    # field k meet across exponents.
+    if data.draw(st.booleans()):
+        coeff = data.draw(st.sampled_from(list(Coeff)))
+        rings_ = RingDescriptor(Mode.LAURENT, 3, coeff), ref.RingDescriptor(Mode.LAURENT, 3, coeff)
+        g, g_ref = pair(data.draw, rings_, max_terms=40)
+    else:
+        rings_ = data.draw(rings())
+        g, g_ref = pair(data.draw, rings_)
     ring, _ = rings_
-    g, g_ref = pair(data.draw, rings_)
     k = data.draw(st.integers(1, min(3, ring.nvars)))
     t = data.draw(st.integers(1, 6))
     heads = c_heads(g, k, t)
@@ -345,6 +353,73 @@ _THREE_VARIABLE_RINGS = [
 )
 def test_canonical_route_matches_the_general_parser_near_canonical_text(ring, text):
     _same_as_general(ring, text)
+
+
+# The canonical patterns as they stood with backtracking quantifiers; the
+# possessive patterns of ``colstab.ring`` must accept exactly their language.
+_BACKTRACKING_MONOMIAL = r"a\d+(?:\^-?\d+)?(?:\*a\d+(?:\^-?\d+)?)*"
+
+
+def _backtracking_canonical(fraction):
+    term = rf"(?:\d+{fraction}(?:\*{_BACKTRACKING_MONOMIAL})?|{_BACKTRACKING_MONOMIAL})"
+    return re.compile(rf"-?{term}(?: [+-] {term})*", re.ASCII)
+
+
+_CANONICAL_PAIRS = [
+    (colstab.ring._CANONICAL_INT, _backtracking_canonical("")),
+    (colstab.ring._CANONICAL_RAT, _backtracking_canonical(r"(?:/\d+)?")),
+]
+CANONICAL_ALPHABET = "0123456789a^-*/+ "
+
+
+@st.composite
+def near_canonical(draw):
+    """Printed text, strings over the canonical alphabet, and printed text
+    with a stretch replaced by such a string."""
+    text = draw(printed())[1]
+    noise = draw(st.text(alphabet=CANONICAL_ALPHABET, max_size=12))
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, len(text)))
+    return draw(st.sampled_from([text, noise, text[:i] + noise + text[j:]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=near_canonical())
+def test_canonical_patterns_accept_what_the_backtracking_patterns_accept(text):
+    for possessive, backtracking in _CANONICAL_PAIRS:
+        assert bool(possessive.fullmatch(text)) == bool(backtracking.fullmatch(text))
+
+
+def test_canonical_patterns_agree_on_every_short_string():
+    # Every string of up to six characters over one digit and the other
+    # characters of canonical text, among them "--a1", "1/1/1", "a1^1^1",
+    # "a1*-1" and "1 -a1", which random draws seldom reach.
+    alphabet = "1a^-*/+ "
+    for n in range(7):
+        for chars in itertools.product(alphabet, repeat=n):
+            text = "".join(chars)
+            for possessive, backtracking in _CANONICAL_PAIRS:
+                assert bool(possessive.fullmatch(text)) == bool(backtracking.fullmatch(text)), text
+
+
+def test_canonical_patterns_keep_no_backtracking_state():
+    # Every repetition is possessive and every alternation atomic, read off
+    # the parsed patterns.
+    def check(items, atomic):
+        for op, arg in items:
+            name = str(op)
+            assert name not in ("MAX_REPEAT", "MIN_REPEAT"), name
+            assert name != "BRANCH" or atomic, "alternation outside an atomic group"
+            if name == "BRANCH":
+                for branch in arg[1]:
+                    check(branch, False)
+            elif name == "ATOMIC_GROUP":
+                check(arg, True)
+            elif name in ("POSSESSIVE_REPEAT", "SUBPATTERN"):
+                check(arg[-1], False)
+
+    for possessive, _ in _CANONICAL_PAIRS:
+        check(re._parser.parse(possessive.pattern, possessive.flags), False)
 
 
 def test_reparsing_printed_text_skips_the_general_parser(monkeypatch):

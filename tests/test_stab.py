@@ -3,7 +3,6 @@ import inspect
 import json
 import random
 import re
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -475,13 +474,6 @@ def _ring_id(ring):
 RINGS3 = [ring for ring in RINGS if ring.nvars == 3]
 
 
-def _coefficients(ring, strategy):
-    """Elements of a strategy; over the rationals, divided by 1 to 5."""
-    if ring.coeff is Coeff.INTEGERS:
-        return strategy
-    return st.builds(lambda x, d: x * ring.const(Fraction(1, d)), strategy, st.integers(1, 5))
-
-
 def test_closed_form_fails_with_each_message_as_its_parent_body(ring3):
     one, c1, c2 = ring3.one, ring3.c(1), ring3.c(2)
     inexact = "inexact division in closed form: not divisible by "
@@ -504,7 +496,7 @@ def test_closed_form_matches_its_parent_body(ring, data):
     # Words give stabilizers; the identity plus up to four arbitrary entries
     # gives StabMatrix wrapped around matrices that mostly are not, which
     # fail with each of the three RelationFailedError messages.
-    params = _coefficients(ring, elements(ring, max_terms=2, max_deg=2))
+    params = elements(ring, max_terms=2, max_deg=2)
     broken = st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 3)), params, max_size=4)
     a = data.draw(
         st.one_of(
