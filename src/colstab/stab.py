@@ -66,12 +66,12 @@ class StabMatrix:
     """A 3x3 matrix certified to fix the column and to have unit determinant.
 
     Built only by ``check_stab``, which checks both properties; by ``__mul__``
-    and ``inverse``, which preserve them; and by construction, for the tame
-    generators ``gen_T`` and ``gen_S``, for ``eval_word``, which starts
-    from the identity and applies each letter as a column update, and for
-    the lift in ``preimage``: the product of two lifts, each I + X*Z with a
-    zero determinant defect, with the letter S(1, 3; mu/c1) then applied to
-    its columns as the same column update.
+    and ``inverse``, which preserve them; and by construction, for
+    ``eval_word``, which starts from the identity and applies each letter as
+    a column update (every tame generator is a one-letter word), and for the
+    lift in ``preimage``: the product of two lifts, each I + X*Z with a zero
+    determinant defect, with the letter S(1, 3; mu/c1) then applied to its
+    columns as the same column update.
     """
 
     mat: Mat
@@ -314,8 +314,19 @@ class CongruenceMatrix:
 
 
 def rho(a: StabMatrix) -> CongruenceMatrix:
-    """The homomorphism onto congruence-type 2x2 matrices over two variables."""
-    return CongruenceMatrix(residues_closed_form(a).to_matrix())
+    """The homomorphism onto congruence-type 2x2 matrices over two variables.
+
+    Over any base the image of a stabilizer meets every scheme condition but
+    one, that its entries involve a1 and a2 only; they are built from
+    c3-heads, free of variable 3, so only over four variables or more is
+    that tested.  The one ``CongruenceMatrix`` built unvalidated.
+    """
+    image = residues_closed_form(a).to_matrix()
+    if a.ring.nvars > 3 and not all(_two_variable(x) for row in image.rows for x in row):
+        raise NotInSchemeError("matrix does not satisfy the congruence scheme")
+    b = object.__new__(CongruenceMatrix)
+    object.__setattr__(b, "mat", image)
+    return b
 
 
 @dataclass(frozen=True)
@@ -487,15 +498,14 @@ def preimage(
     if defect or defect2:
         raise RuntimeError(f"preimage: a lift has determinant defect {defect or defect2}")
 
-    from .tame import Letter, _apply_letter  # deferred; tame builds on this module
+    from .tame import Letter, _times_letters  # deferred; tame builds on this module
 
     # Certified by construction: each lift is I + X*Z, which fixes the
     # column, and det(lift) = det(source) + defect, a unit; so is their
     # product, and the letter keeps both.  mu/c1 is exact: mu involves
     # variable 1 only and vanishes at the base point.
-    cols = list(zip(*(lift_base * lift_corr).rows))
-    _apply_letter(ring, cols, Letter("S", (1, 3), mu.divide_exact(c1)))
-    result = StabMatrix(Mat(zip(*cols)))
+    letter = Letter("S", (1, 3), mu.divide_exact(c1))
+    result = StabMatrix(_times_letters(lift_base * lift_corr, (letter,)))
 
     # The guard compares rho's matrix with b and runs no scheme test: a
     # matrix equal to the validated input lies in the scheme.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .matrix import Mat, ShapeError, identity, identity_plus
+from .matrix import Mat, ShapeError, identity
 from .ring import (
     DescriptorMismatchError,
     Mode,
@@ -47,6 +47,10 @@ class Letter:
     indices: tuple
     param: RingElement
 
+    def __post_init__(self):
+        if self.kind not in ("T", "S"):
+            raise ValueError(f"unknown letter kind {self.kind!r}")
+
     def to_obj(self) -> dict:
         obj = {"kind": self.kind}
         if self.kind == "T":
@@ -59,19 +63,12 @@ class Letter:
     @staticmethod
     def from_obj(ring: RingDescriptor, obj: dict) -> "Letter":
         kind = obj["kind"]
-        param = ring.parse(obj["a"])
-        if kind == "T":
-            return Letter("T", (obj["i"], obj["j"], obj["k"]), param)
-        if kind == "S":
-            return Letter("S", (obj["i"], obj["j"]), param)
-        raise ValueError(f"unknown letter kind {kind!r}")
+        keys = ("i", "j", "k") if kind == "T" else ("i", "j")
+        return Letter(kind, tuple(obj[key] for key in keys), ring.parse(obj["a"]))
 
     def evaluate(self, ring: RingDescriptor) -> StabMatrix:
-        if self.kind == "T":
-            i, j, k = self.indices
-            return gen_T(ring, i, j, k, self.param)
-        i, j = self.indices
-        return gen_S(ring, i, j, self.param)
+        """The letter's matrix: the one-letter word."""
+        return eval_word(ring, TameWord((self,)))
 
 
 @dataclass(frozen=True)
@@ -100,50 +97,22 @@ def _param(ring: RingDescriptor, a) -> RingElement:
     return a
 
 
-def _block_entries(a: RingElement, i: int, j: int) -> dict:
-    """a times the square-zero block annihilating (c_i, c_j), at rows and columns i, j."""
-    ci, cj = a.ring.c(i), a.ring.c(j)
-    aci = a * ci
-    diagonal = aci * cj
-    return {(i, i): diagonal, (i, j): -(aci * ci), (j, i): a * cj * cj, (j, j): -diagonal}
-
-
-def _T_weights(ring: RingDescriptor, i: int, j: int, k: int, a) -> tuple:
-    """a*c_k and a*c_j for the letter T(i, j, k; a), after checking its
-    indices and its parameter."""
-    if i in (j, k) or j >= k:
-        raise ValueError("indices must satisfy i not in {j, k} and j < k")
-    for idx in (i, j, k):
-        if not 1 <= idx <= 3:
-            raise ValueError("indices must lie in 1..3")
-    a = _param(ring, a)
-    return a * ring.c(k), a * ring.c(j)
-
-
-def _S_param(ring: RingDescriptor, i: int, j: int, a) -> RingElement:
-    """The parameter of the letter S(i, j; a), after checking its indices."""
-    if not (1 <= i < j <= 3):
-        raise ValueError("indices must satisfy 1 <= i < j <= 3")
-    return _param(ring, a)
-
-
 def gen_T(ring: RingDescriptor, i: int, j: int, k: int, a) -> StabMatrix:
     """Row perturbation: identity plus a*c_k at (i, j) minus a*c_j at (i, k).
     Both entries sit off the diagonal of row i and cancel against the column."""
-    ack, acj = _T_weights(ring, i, j, k, a)
-    return StabMatrix(identity_plus(ring, 3, {(i, j): ack, (i, k): -acj}))
+    return Letter("T", (i, j, k), a).evaluate(ring)
 
 
 def gen_S(ring: RingDescriptor, i: int, j: int, a) -> StabMatrix:
     """Embedded one-parameter 2x2 stabilizer acting on rows and columns i, j:
     the identity plus a square-zero block that annihilates (c_i, c_j)."""
-    return StabMatrix(identity_plus(ring, 3, _block_entries(_S_param(ring, i, j, a), i, j)))
+    return Letter("S", (i, j), a).evaluate(ring)
 
 
 def stab2(a: RingElement) -> Mat:
     """The 2x2 stabilizer of the column (c1, c2): identity plus a times the
-    square-zero block."""
-    return identity_plus(a.ring, 2, _block_entries(a, 1, 2))
+    square-zero block, the letter S(1, 2; a) on the 2x2 identity."""
+    return _times_letters(identity(a.ring, 2), (Letter("S", (1, 2), a),))
 
 
 def stab2_param(m: Mat) -> RingElement:
@@ -172,28 +141,33 @@ def stab2_param(m: Mat) -> RingElement:
 def _apply_letter(ring: RingDescriptor, cols: list, letter: Letter) -> None:
     """Right-multiply the matrix with columns ``cols`` by one letter, in place.
 
-    The one place a letter multiplies a matrix: ``eval_word``, ``preimage``
-    and the kernel sampler of the verification suites all come here, and no
-    letter matrix or 3x3 product is built.  Right multiplication by
-    ``T(i, j, k; a)`` adds ``a*c_k`` times column i to column j and
-    subtracts ``a*c_j`` times it from column k.  ``S(i, j; a)`` is the
-    identity plus ``a*u*v^T`` with ``u = (c_i, c_j)`` and ``v = (c_j, -c_i)``
-    at rows and columns i, j, so with ``w = a*P*u`` for the matrix P it adds
-    ``c_j*w`` to column i and subtracts ``c_i*w`` from column j.  Every
-    updated entry is one fused sum of products; the unchanged column is
-    shared.  Indices and parameters are checked as ``gen_T`` and ``gen_S``
-    check them.
+    Right multiplication by ``T(i, j, k; a)`` adds ``a*c_k`` times column i
+    to column j and subtracts ``a*c_j`` times it from column k.
+    ``S(i, j; a)`` is the identity plus ``a*u*v^T`` with ``u = (c_i, c_j)``
+    and ``v = (c_j, -c_i)`` at rows and columns i, j, so with ``w = a*P*u``
+    for the matrix P it adds ``c_j*w`` to column i and subtracts ``c_i*w``
+    from column j.  Every updated entry is one fused sum of products; the
+    unchanged column is shared.  The indices are checked first, then the
+    parameter.
     """
     one = ring.one
     if letter.kind == "T":
         i, j, k = letter.indices
-        ack, acj = _T_weights(ring, i, j, k, letter.param)
+        if i in (j, k) or j >= k:
+            raise ValueError("indices must satisfy i not in {j, k} and j < k")
+        for idx in (i, j, k):
+            if not 1 <= idx <= 3:
+                raise ValueError("indices must lie in 1..3")
+        a = _param(ring, letter.param)
+        ack, acj = a * ring.c(k), a * ring.c(j)
         col_i, col_j, col_k = cols[i - 1], cols[j - 1], cols[k - 1]
         cols[j - 1] = tuple(_dot((x, ack), (one, y)) for x, y in zip(col_j, col_i))
         cols[k - 1] = tuple(_dot((x, acj), (one, y), (1, -1)) for x, y in zip(col_k, col_i))
     else:
         i, j = letter.indices
-        a = _S_param(ring, i, j, letter.param)
+        if not (1 <= i < j <= 3):
+            raise ValueError("indices must satisfy 1 <= i < j <= 3")
+        a = _param(ring, letter.param)
         ci, cj = ring.c(i), ring.c(j)
         weights = (a * ci, a * cj)
         col_i, col_j = cols[i - 1], cols[j - 1]
@@ -202,17 +176,24 @@ def _apply_letter(ring: RingDescriptor, cols: list, letter: Letter) -> None:
         cols[j - 1] = tuple(_dot((x, ci), (one, y), (1, -1)) for x, y in zip(col_j, w))
 
 
-def eval_word(ring: RingDescriptor, word: TameWord) -> StabMatrix:
-    """The product of the word's letters; each letter is certified, so the
-    product is too.
-
-    The product is kept as its three columns, starting from the identity,
-    and each letter is applied as a column update by ``_apply_letter``.
-    """
-    cols = list(identity(ring, 3).rows)  # the identity's columns are its rows
-    for letter in word.letters:
+def _times_letters(m: Mat, letters) -> Mat:
+    """m times the letters, kept as its columns and updated by
+    ``_apply_letter``, with no letter matrix or matrix product built.  The
+    one route by which anything is multiplied by a letter: ``eval_word``
+    (so ``Letter.evaluate``, ``gen_T``, ``gen_S`` and the kernel sampler of
+    the verification suites), ``stab2`` and ``preimage`` come here."""
+    ring = m.ring
+    cols = list(zip(*m.rows))
+    for letter in letters:
         _apply_letter(ring, cols, letter)
-    return StabMatrix(Mat(zip(*cols)))
+    return Mat(zip(*cols))
+
+
+def eval_word(ring: RingDescriptor, word: TameWord) -> StabMatrix:
+    """The product of the word's letters; each letter fixes the column and
+    has determinant 1 for every parameter, so the product is certified by
+    construction."""
+    return StabMatrix(_times_letters(identity(ring, 3), word.letters))
 
 
 def _random_param(rng: random.Random, ring: RingDescriptor, coeff_bound: int) -> RingElement:
@@ -247,13 +228,10 @@ def sample_tame(
     return TameWord(tuple(letters))
 
 
-def is_triangular(b: Mat) -> bool:
-    return b[1, 0].is_zero or b[0, 1].is_zero
-
-
 def prop2_check(ring: RingDescriptor, letter: Letter) -> bool:
     """Whether the image of a single generator token is triangular."""
-    return is_triangular(rho(letter.evaluate(ring)).mat)
+    b = rho(letter.evaluate(ring)).mat
+    return b[1, 0].is_zero or b[0, 1].is_zero
 
 
 def cohn_matrix(ring: RingDescriptor) -> Mat:

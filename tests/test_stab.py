@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import colstab
 from colstab import (
@@ -81,18 +81,21 @@ def test_check_stab_accepts_row_perturbations(ring3):
         check_stab(gen_T(ring3, 3, 1, 2, a).mat)
 
 
-def _stab_matrix_construction_sites():
-    """Names of the functions in the package source that call StabMatrix(...)."""
+def _name(node):
+    """The bare name of a Name or Attribute node, else None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _call_sites(match):
+    """Names of the functions in the package source that hold a call node
+    ``match`` accepts; a call outside every function counts as <module>."""
     sites = set()
 
     def visit(node, enclosing):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             enclosing = node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "StabMatrix":
-                sites.add(enclosing)
+        if isinstance(node, ast.Call) and match(node):
+            sites.add(enclosing)
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing)
 
@@ -101,12 +104,31 @@ def _stab_matrix_construction_sites():
     return sites
 
 
+def _calls_of(name):
+    """Matches calls of ``name``, bare or as an attribute."""
+    return lambda call: _name(call.func) == name
+
+
 def test_stab_matrix_is_built_only_where_its_docstring_says():
     named = set(re.findall(r"``(\w+)``", StabMatrix.__doc__))
-    assert named == {
-        "check_stab", "__mul__", "inverse", "eval_word", "gen_T", "gen_S", "preimage"
-    }
-    assert _stab_matrix_construction_sites() == named
+    assert named == {"check_stab", "__mul__", "inverse", "eval_word", "preimage"}
+    assert _call_sites(_calls_of("StabMatrix")) == named
+
+
+def test_letters_multiply_only_through_times_letters():
+    assert _call_sites(_calls_of("_apply_letter")) == {"_times_letters"}
+    assert _call_sites(_calls_of("_times_letters")) == {"eval_word", "stab2", "preimage"}
+
+
+def test_only_rho_builds_a_congruence_matrix_unvalidated():
+    # Any __new__ that names the class, object.__new__(CongruenceMatrix)
+    # included, skips the validating __post_init__.
+    def unvalidated(call):
+        return _name(call.func) == "__new__" and any(
+            _name(arg) == "CongruenceMatrix" for arg in call.args
+        )
+
+    assert _call_sites(unvalidated) == {"rho"}
 
 
 def test_check_stab_accepts_identity(ring3):
@@ -581,6 +603,57 @@ def test_rho_rejects_images_outside_the_scheme(ring3):
     assert residues_closed_form(a).alpha == -ring4.var(4)
     with pytest.raises(NotInSchemeError):
         rho(a)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=_ring_id)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rho_fails_exactly_off_the_scheme(ring, data):
+    # rho runs at most the two-variable test; the scheme test in full
+    # decides the same on every word, over three variables and four.
+    a = eval_word(ring, data.draw(words(ring)))
+    image = residues_closed_form(a).to_matrix()
+    expected = in_scheme(image)
+    event(f"in the scheme: {expected}")  # both occur at four variables
+    if expected:
+        assert rho(a).mat == image
+    else:
+        with pytest.raises(NotInSchemeError, match="^matrix does not satisfy the congruence scheme$"):
+            rho(a)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=_ring_id)
+def test_kernel_members_and_lifts_land_in_the_scheme(ring):
+    rng = random.Random(67)
+    for _ in range(6):
+        assert in_scheme(rho(_sample_kernel_member(rng, ring)).mat)
+    for target in _liftable_targets(ring, 71, count=3):
+        assert in_scheme(rho(preimage(target).preimage).mat)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=_ring_id)
+def test_rho_runs_no_scheme_test_and_no_determinant(ring, monkeypatch):
+    # Over three variables rho tests nothing; over more, only that the
+    # entries involve a1 and a2.
+    samples = [_sample(ring, seed, length=8) for seed in range(6)]
+    samples.append(gen_T(ring, 3, 1, 2, ring.var(ring.nvars)))  # off the scheme at four
+
+    def image(a):
+        try:
+            return rho(a).mat
+        except NotInSchemeError as exc:
+            return str(exc)
+
+    expected = [image(a) for a in samples]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rho re-tested what its theorem guarantees")
+
+    monkeypatch.setattr(colstab.stab, "in_scheme", forbidden)
+    monkeypatch.setattr(Mat, "det", forbidden)
+    if ring.nvars == 3:
+        monkeypatch.setattr(colstab.stab, "_two_variable", forbidden)
+    assert [image(a) for a in samples] == expected
 
 
 def test_rho_is_multiplicative_in_operand_order(ring3):

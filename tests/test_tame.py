@@ -14,6 +14,7 @@ from colstab import (
     RingDescriptor,
     ShapeError,
     TameWord,
+    annihilator_block,
     check_stab,
     cohn_matrix,
     eval_word,
@@ -88,33 +89,39 @@ def _unit(ring, i, j):
     return Mat([[one if (r, s) == (i, j) else zero for s in (1, 2, 3)] for r in (1, 2, 3)])
 
 
+def _letter_matrix(ring, letter):
+    """The letter as its defining sum of matrix units: an oracle that shares
+    no code with the column updates letters are evaluated by."""
+    a, c = letter.param, {k: ring.c(k) for k in (1, 2, 3)}
+    one = _unit(ring, 1, 1) + _unit(ring, 2, 2) + _unit(ring, 3, 3)
+    if letter.kind == "T":
+        i, j, k = letter.indices
+        return one + _unit(ring, i, j).scale(a * c[k]) - _unit(ring, i, k).scale(a * c[j])
+    i, j = letter.indices
+    return (
+        one
+        + _unit(ring, i, i).scale(a * c[i] * c[j])
+        - _unit(ring, i, j).scale(a * c[i] * c[i])
+        + _unit(ring, j, i).scale(a * c[j] * c[j])
+        - _unit(ring, j, j).scale(a * c[i] * c[j])
+    )
+
+
 def test_generators_certify_with_ring_parameters(ring3):
     """Every letter equals its defining sum of matrix units, and check_stab
     certifies it unchanged."""
-    one = _unit(ring3, 1, 1) + _unit(ring3, 2, 2) + _unit(ring3, 3, 3)
-    c = {k: ring3.c(k) for k in (1, 2, 3)}
     rng = random.Random(7)
     params = [0, -1] + [_random_element(rng, ring3) for _ in range(8)]
     for a in params:
         r = ring3.const(a) if isinstance(a, int) else a
         for i, j, k in T_INDICES:
             t = gen_T(ring3, i, j, k, a)
-            assert t.mat == (
-                one
-                + _unit(ring3, i, j).scale(r * c[k])
-                - _unit(ring3, i, k).scale(r * c[j])
-            )
+            assert t.mat == _letter_matrix(ring3, Letter("T", (i, j, k), r))
             assert check_stab(t.mat).mat == t.mat
             assert t.mat.det() == ring3.one
         for i, j in S_INDICES:
             s = gen_S(ring3, i, j, a)
-            assert s.mat == (
-                one
-                + _unit(ring3, i, i).scale(r * c[i] * c[j])
-                - _unit(ring3, i, j).scale(r * c[i] * c[i])
-                + _unit(ring3, j, i).scale(r * c[j] * c[j])
-                - _unit(ring3, j, j).scale(r * c[i] * c[j])
-            )
+            assert s.mat == _letter_matrix(ring3, Letter("S", (i, j), r))
             assert check_stab(s.mat).mat == s.mat
             assert s.mat.det() == ring3.one
 
@@ -150,6 +157,7 @@ def test_stab2_examples(ring2):
     a = ring2.parse("a1*a2 - 2")
     b = ring2.parse("a2")
     assert stab2(a) * stab2(b) == stab2(a + b)
+    assert stab2(a) == identity(ring2, 2) + annihilator_block(ring2).scale(a)
 
 
 def test_stab2_rejects_determinant_other_than_one(ring2):
@@ -219,7 +227,7 @@ def test_sampled_words_certify(ring3):
 def _letter_product(ring, word):
     product = identity(ring, 3)
     for letter in word.letters:
-        product = product * letter.evaluate(ring).mat
+        product = product * _letter_matrix(ring, letter)
     return product
 
 
@@ -289,6 +297,14 @@ def test_eval_word_raises_as_the_letter_does(letter, ring):
     assert expected[0] in (ValueError, OutOfRangeError, ShapeError, DescriptorMismatchError)
     lead = Letter("S", (1, 2), ring.one)
     assert _raised(lambda: eval_word(ring, TameWord((lead, letter)))) == expected
+
+
+def test_unknown_letter_kind_is_rejected(ring3):
+    # Rejected when the letter is made, so no route can read it as S.
+    with pytest.raises(ValueError, match="^unknown letter kind 't'$"):
+        Letter("t", (1, 2), ring3.one)
+    with pytest.raises(ValueError, match="^unknown letter kind 't'$"):
+        TameWord.from_json(ring3, [{"kind": "t", "i": 1, "j": 2, "a": "1"}])
 
 
 def test_eval_word_builds_no_letter_matrix(ring3, monkeypatch):
