@@ -6,7 +6,6 @@ from .matrix import (
     NotAUnitError,
     ShapeError,
     identity,
-    identity_plus,
     mat_from_document,
     mat_to_document,
     promote,
@@ -40,7 +39,6 @@ from .stab import (
     ResidueQuadruple,
     StabMatrix,
     annihilator_block,
-    build_preimage_candidate,
     check_stab,
     column,
     compose_residues,

@@ -55,7 +55,8 @@ EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each returns its exit code and its JSON document, which
+# ``main`` prints with the ``subcommand`` field added
 # ---------------------------------------------------------------------------
 
 
@@ -63,8 +64,9 @@ def _note(text: str) -> None:
     print(f"[colstab] {text}", file=sys.stderr)
 
 
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+def _emit(subcommand, doc: dict) -> None:
+    """Print ``doc`` with the ``subcommand`` field, the one place it is written."""
+    print(json.dumps({"subcommand": subcommand, **doc}, sort_keys=True, indent=2))
 
 
 def _ring_from_flags(args) -> RingDescriptor:
@@ -97,125 +99,96 @@ def _load_matrix(args) -> Mat:
     return mat_from_document(_load_document(args))
 
 
-def cmd_check_stab(args) -> int:
+def cmd_check_stab(args) -> tuple[int, dict]:
     m = _load_matrix(args)
     try:
         check_stab(m)
     except NotStabilizingError as exc:
-        _emit(
-            {
-                "subcommand": "check-stab",
-                "ok": False,
-                "reason": "not-stabilizing",
-                "defect": [format_element(x) for x in exc.defect],
-            }
-        )
         _note("matrix does not stabilize the column")
-        return EXIT_VIOLATION
+        return EXIT_VIOLATION, {
+            "ok": False,
+            "reason": "not-stabilizing",
+            "defect": [format_element(x) for x in exc.defect],
+        }
     except NotAUnitError as exc:
-        _emit(
-            {
-                "subcommand": "check-stab",
-                "ok": False,
-                "reason": "not-invertible",
-                "determinant": format_element(exc.det),
-            }
-        )
         _note("matrix determinant is not a unit")
-        return EXIT_VIOLATION
-    _emit({"subcommand": "check-stab", "ok": True})
+        return EXIT_VIOLATION, {
+            "ok": False,
+            "reason": "not-invertible",
+            "determinant": format_element(exc.det),
+        }
     _note("certified stabilizer")
-    return EXIT_OK
+    return EXIT_OK, {"ok": True}
 
 
-def cmd_residues(args) -> int:
+def cmd_residues(args) -> tuple[int, dict]:
     a = check_stab(_load_matrix(args))
     q = residues_closed_form(a)
-    _emit(
-        {
-            "subcommand": "residues",
-            "alpha": format_element(q.alpha),
-            "beta": format_element(q.beta),
-            "gamma": format_element(q.gamma),
-            "delta": format_element(q.delta),
-        }
-    )
     _note(f"residues {q}")
-    return EXIT_OK
+    return EXIT_OK, {
+        "alpha": format_element(q.alpha),
+        "beta": format_element(q.beta),
+        "gamma": format_element(q.gamma),
+        "delta": format_element(q.delta),
+    }
 
 
-def cmd_rho(args) -> int:
+def cmd_rho(args) -> tuple[int, dict]:
     a = check_stab(_load_matrix(args))
     image = rho(a)
-    _emit({"subcommand": "rho", "image": mat_to_document(image.mat)})
     _note(f"image {image.mat}")
-    return EXIT_OK
+    return EXIT_OK, {"image": mat_to_document(image.mat)}
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple[int, dict]:
     a = check_stab(_load_matrix(args))
     numerator = reduce(a)
-    _emit(
-        {
-            "subcommand": "reduce",
-            "entries": [[format_over_c3(x) for x in row] for row in numerator.rows],
-        }
-    )
     _note(f"reduced block {numerator} / c3")
-    return EXIT_OK
+    return EXIT_OK, {
+        "entries": [[format_over_c3(x) for x in row] for row in numerator.rows],
+    }
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[int, dict]:
     ring = _ring_from_flags(args)
     g = ring.parse(args.expr)
     dec = c_adic_decompose(g, args.var, args.depth)
-    _emit(
-        {
-            "subcommand": "decompose",
-            "expr": format_element(g),
-            "var": args.var,
-            "depth": args.depth,
-            "heads": [format_element(h) for h in dec.heads],
-            "tail": format_element(dec.tail),
-        }
-    )
     _note(f"heads {[str(h) for h in dec.heads]}, tail {dec.tail}")
-    return EXIT_OK
+    return EXIT_OK, {
+        "expr": format_element(g),
+        "var": args.var,
+        "depth": args.depth,
+        "heads": [format_element(h) for h in dec.heads],
+        "tail": format_element(dec.tail),
+    }
 
 
-def cmd_preimage(args) -> int:
+def cmd_preimage(args) -> tuple[int, dict]:
     m = _load_matrix(args)
     if m.ring.nvars < 3:
         m = promote(m, RingDescriptor(m.ring.mode, 3, m.ring.coeff))
     report = preimage(CongruenceMatrix(m))
-    doc = {"subcommand": "preimage"}
-    doc.update(report.to_document())
-    _emit(doc)
     if report.ok:
         _note("preimage constructed and verified")
-        return EXIT_OK
+        return EXIT_OK, report.to_document()
     _note(f"obstructed at stage {report.stage}")
-    return EXIT_VIOLATION
+    return EXIT_VIOLATION, report.to_document()
 
 
-def cmd_tame_sample(args) -> int:
+def cmd_tame_sample(args) -> tuple[int, dict]:
     ring = _ring_from_flags(args)
     word = sample_tame(ring, args.seed, args.length, args.coeff_bound)
     a = eval_word(ring, word)
-    _emit(
-        {
-            "subcommand": "tame-sample",
-            "seed": args.seed,
-            "length": args.length,
-            "word": word.to_json(),
-            "matrix": mat_to_document(a.mat),
-        }
-    )
     _note(f"sampled word of length {len(word)}")
-    return EXIT_OK
+    return EXIT_OK, {
+        "seed": args.seed,
+        "length": args.length,
+        "word": word.to_json(),
+        "matrix": mat_to_document(a.mat),
+    }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict]:
     modes = list(Mode) if args.mode == "both" else [Mode(args.mode)]
     coeff = Coeff(args.coeff)
     all_ok = True
@@ -243,17 +216,13 @@ def cmd_verify(args) -> int:
                 ],
             }
         )
-    _emit(
-        {
-            "subcommand": "verify",
-            "suite": args.suite,
-            "trials": args.trials,
-            "seed": args.seed,
-            "ok": all_ok,
-            "runs": blocks,
-        }
-    )
-    return EXIT_OK if all_ok else EXIT_VIOLATION
+    return EXIT_OK if all_ok else EXIT_VIOLATION, {
+        "suite": args.suite,
+        "trials": args.trials,
+        "seed": args.seed,
+        "ok": all_ok,
+        "runs": blocks,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -359,28 +328,26 @@ def main(argv=None) -> int:
         # The top-level parser has no options besides --help, so a named
         # subcommand is the first argument.
         name = argv[0] if argv and argv[0] in parser.subcommands else None
-        _emit({"subcommand": name, "error": "parse", "message": str(exc)})
+        _emit(name, {"error": "parse", "message": str(exc)})
         _note(f"usage error: {exc}; see colstab --help")
         return EXIT_PARSE
     try:
-        return args.handler(args)
+        code, doc = args.handler(args)
     except ParseError as exc:
-        _emit({"subcommand": args.subcommand, "error": "parse", "message": str(exc)})
+        code, doc = EXIT_PARSE, {"error": "parse", "message": str(exc)}
         _note(f"parse error: {exc}")
-        return EXIT_PARSE
     except ColstabError as exc:
-        _emit({"subcommand": args.subcommand, "error": "domain", "message": str(exc)})
+        code, doc = EXIT_DOMAIN, {"error": "domain", "message": str(exc)}
         _note(f"domain error: {exc}")
-        return EXIT_DOMAIN
     except OSError as exc:
-        _emit({"subcommand": args.subcommand, "error": "io", "message": str(exc)})
+        code, doc = EXIT_DOMAIN, {"error": "io", "message": str(exc)}
         _note(f"input error: {exc}")
-        return EXIT_DOMAIN
     except Exception as exc:
         message = f"{type(exc).__name__}: {exc}"
-        _emit({"subcommand": args.subcommand, "error": "internal", "message": message})
+        code, doc = EXIT_INTERNAL, {"error": "internal", "message": message}
         _note(f"internal error: {message}")
-        return EXIT_INTERNAL
+    _emit(args.subcommand, doc)
+    return code
 
 
 if __name__ == "__main__":

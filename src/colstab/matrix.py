@@ -175,24 +175,19 @@ def _cofactor(rows, i, j, sign=1):
 
 
 def identity(ring: RingDescriptor, n: int) -> Mat:
-    return identity_plus(ring, n, {})
-
-
-def identity_plus(ring: RingDescriptor, n: int, entries: dict) -> Mat:
-    """The n x n identity with each 1-based (i, j) entry increased by its value."""
-    rows = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-    for (i, j), value in entries.items():
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ShapeError(f"entry ({i}, {j}) outside a {n}x{n} matrix")
-        rows[i - 1][j - 1] = rows[i - 1][j - 1] + value
-    return Mat(rows)
+    return Mat([[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)])
 
 
 def transvection(ring: RingDescriptor, n: int, i: int, j: int, a: RingElement) -> Mat:
-    """Identity plus a single off-diagonal entry a at (i, j)."""
+    """Identity plus a single off-diagonal entry a at the 1-based (i, j); an
+    int ``a`` is taken as a constant of ``ring``."""
     if i == j:
         raise ValueError("transvection indices must differ")
-    return identity_plus(ring, n, {(i, j): a})
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ShapeError(f"entry ({i}, {j}) outside a {n}x{n} matrix")
+    rows = [[ring.one if r == s else ring.zero for s in range(n)] for r in range(n)]
+    rows[i - 1][j - 1] = ring.zero + a
+    return Mat(rows)
 
 
 def promote(m: Mat, ring: RingDescriptor) -> Mat:

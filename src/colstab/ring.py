@@ -510,7 +510,7 @@ def _coerce_coeff(ring: RingDescriptor, value):
                 raise ValueError("fractional coefficient in an integer ring")
             return int(value)
         if isinstance(value, int):
-            return value
+            return int(value)  # a bool is kept as the int it equals
         raise ValueError(f"bad coefficient {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)

@@ -50,9 +50,9 @@ class NotInSchemeError(ColstabError):
     pass
 
 
-def column(ring: RingDescriptor, n: int = 3):
-    """The stabilized column (c_1, ..., c_n)."""
-    return [ring.c(i) for i in range(1, n + 1)]
+def column(ring: RingDescriptor):
+    """The stabilized column (c1, c2, c3)."""
+    return [ring.c(1), ring.c(2), ring.c(3)]
 
 
 def annihilator_block(ring: RingDescriptor) -> Mat:
@@ -399,18 +399,6 @@ def canonical_splits(m: Mat) -> CandidateSplits:
     gamma1, gamma2 = delta_split_linear(m[1, 1] - one)
     d11, d12, d12p, d22 = delta_split_quadratic(m[1, 0])
     return CandidateSplits(m[0, 1], beta1, beta2, gamma1, gamma2, d11, d12, d12p, d22)
-
-
-def build_preimage_candidate(b: CongruenceMatrix) -> tuple[Mat, RingElement]:
-    """Candidate preimage of a scheme matrix via the canonical splits.
-
-    The candidate always fixes the column; it is a certified stabilizer
-    exactly when the returned determinant defect is zero and the source
-    determinant is a unit.
-    """
-    if b.ring.nvars < 3:
-        raise NotInSchemeError("lifting needs a ring with at least three variables")
-    return candidate_from_splits(canonical_splits(b.mat))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .matrix import Mat, ShapeError, identity
 from .ring import (
-    DescriptorMismatchError,
+    ColstabError,
     Mode,
     NotDivisibleError,
     RingDescriptor,
@@ -21,11 +22,7 @@ from .ring import (
     _dot,
     format_element,
 )
-from .stab import (
-    ColstabError,
-    StabMatrix,
-    rho,
-)
+from .stab import StabMatrix, rho
 
 
 class NotInStab2Error(ColstabError):
@@ -41,7 +38,13 @@ S_INDICES = ((1, 2), (1, 3), (2, 3))
 
 @dataclass(frozen=True)
 class Letter:
-    """One generator token: kind 'T' with indices (i, j, k) or 'S' with (i, j)."""
+    """One generator token: kind 'T' with indices (i, j, k) or 'S' with (i, j).
+
+    Checked once, when made: the kind is 'T' or 'S', the indices are one of
+    ``T_INDICES`` or ``S_INDICES``, and the parameter is a ring element.
+    What depends on the ring a letter is evaluated over, a parameter from
+    another ring or a ring without c3, raises on evaluation.
+    """
 
     kind: str
     indices: tuple
@@ -50,6 +53,15 @@ class Letter:
     def __post_init__(self):
         if self.kind not in ("T", "S"):
             raise ValueError(f"unknown letter kind {self.kind!r}")
+        allowed = T_INDICES if self.kind == "T" else S_INDICES
+        if self.indices not in allowed:
+            raise ValueError(
+                f"{self.kind} letter indices must be one of {allowed}, not {self.indices!r}"
+            )
+        if not isinstance(self.param, RingElement):
+            raise ShapeError(
+                f"parameter must be a ring element, not {type(self.param).__name__}"
+            )
 
     def to_obj(self) -> dict:
         obj = {"kind": self.kind}
@@ -59,12 +71,6 @@ class Letter:
             obj["i"], obj["j"] = self.indices
         obj["a"] = format_element(self.param)
         return obj
-
-    @staticmethod
-    def from_obj(ring: RingDescriptor, obj: dict) -> "Letter":
-        kind = obj["kind"]
-        keys = ("i", "j", "k") if kind == "T" else ("i", "j")
-        return Letter(kind, tuple(obj[key] for key in keys), ring.parse(obj["a"]))
 
     def evaluate(self, ring: RingDescriptor) -> StabMatrix:
         """The letter's matrix: the one-letter word."""
@@ -78,34 +84,25 @@ class TameWord:
     def to_json(self) -> list:
         return [letter.to_obj() for letter in self.letters]
 
-    @staticmethod
-    def from_json(ring: RingDescriptor, data: list) -> "TameWord":
-        return TameWord(tuple(Letter.from_obj(ring, obj) for obj in data))
-
     def __len__(self):
         return len(self.letters)
 
 
-def _param(ring: RingDescriptor, a) -> RingElement:
-    """An int or an element of ``ring``; anything else raises."""
-    if isinstance(a, int):
-        return ring.const(a)
-    if not isinstance(a, RingElement):
-        raise ShapeError(f"parameter must be a ring element, not {type(a).__name__}")
-    if a.ring is not ring:
-        raise DescriptorMismatchError("parameter lives in another ring")
-    return a
-
-
 def gen_T(ring: RingDescriptor, i: int, j: int, k: int, a) -> StabMatrix:
     """Row perturbation: identity plus a*c_k at (i, j) minus a*c_j at (i, k).
-    Both entries sit off the diagonal of row i and cancel against the column."""
+    Both entries sit off the diagonal of row i and cancel against the column.
+    An int or Fraction ``a`` is taken as a constant of ``ring``."""
+    if isinstance(a, (int, Fraction)):
+        a = ring.const(a)
     return Letter("T", (i, j, k), a).evaluate(ring)
 
 
 def gen_S(ring: RingDescriptor, i: int, j: int, a) -> StabMatrix:
     """Embedded one-parameter 2x2 stabilizer acting on rows and columns i, j:
-    the identity plus a square-zero block that annihilates (c_i, c_j)."""
+    the identity plus a square-zero block that annihilates (c_i, c_j).
+    An int or Fraction ``a`` is taken as a constant of ``ring``."""
+    if isinstance(a, (int, Fraction)):
+        a = ring.const(a)
     return Letter("S", (i, j), a).evaluate(ring)
 
 
@@ -147,27 +144,17 @@ def _apply_letter(ring: RingDescriptor, cols: list, letter: Letter) -> None:
     and ``v = (c_j, -c_i)`` at rows and columns i, j, so with ``w = a*P*u``
     for the matrix P it adds ``c_j*w`` to column i and subtracts ``c_i*w``
     from column j.  Every updated entry is one fused sum of products; the
-    unchanged column is shared.  The indices are checked first, then the
-    parameter.
+    unchanged column is shared.  The letter was checked when made.
     """
-    one = ring.one
+    one, a = ring.one, letter.param
     if letter.kind == "T":
         i, j, k = letter.indices
-        if i in (j, k) or j >= k:
-            raise ValueError("indices must satisfy i not in {j, k} and j < k")
-        for idx in (i, j, k):
-            if not 1 <= idx <= 3:
-                raise ValueError("indices must lie in 1..3")
-        a = _param(ring, letter.param)
         ack, acj = a * ring.c(k), a * ring.c(j)
         col_i, col_j, col_k = cols[i - 1], cols[j - 1], cols[k - 1]
         cols[j - 1] = tuple(_dot((x, ack), (one, y)) for x, y in zip(col_j, col_i))
         cols[k - 1] = tuple(_dot((x, acj), (one, y), (1, -1)) for x, y in zip(col_k, col_i))
     else:
         i, j = letter.indices
-        if not (1 <= i < j <= 3):
-            raise ValueError("indices must satisfy 1 <= i < j <= 3")
-        a = _param(ring, letter.param)
         ci, cj = ring.c(i), ring.c(j)
         weights = (a * ci, a * cj)
         col_i, col_j = cols[i - 1], cols[j - 1]

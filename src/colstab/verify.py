@@ -25,8 +25,8 @@ from .stab import (
     CandidateSplits,
     CongruenceMatrix,
     ResidueQuadruple,
-    build_preimage_candidate,
     candidate_from_splits,
+    canonical_splits,
     check_stab,
     compose_residues,
     in_H,
@@ -247,7 +247,7 @@ def suite_preimage(ring, trials, seed):
     round_trips, successes = [0, 0], [0, 0]
     for _ in range(trials):
         b = CongruenceMatrix(_random_scheme_zero_defect(rng, ring))
-        cand, defect = build_preimage_candidate(b)
+        cand, defect = candidate_from_splits(canonical_splits(b.mat))
         ok = (
             defect.is_zero
             and cand.det().is_unit()

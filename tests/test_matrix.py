@@ -14,7 +14,6 @@ from colstab import (
     cohn_matrix,
     gen_T,
     identity,
-    identity_plus,
     mat_from_document,
     mat_to_document,
     transvection,
@@ -59,25 +58,16 @@ def test_transvections_add_parameters(ring3):
     assert transvection(ring3, 3, 1, 2, ring3.zero) == identity(ring3, 3)
     lower = transvection(ring3, 3, 2, 1, b)
     assert lower[1, 0] == b and lower[0, 1] == ring3.zero
+    assert transvection(ring3, 2, 1, 2, 4) == Mat(
+        [[ring3.one, ring3.const(4)], [ring3.zero, ring3.one]]
+    )
     with pytest.raises(ValueError):
         transvection(ring3, 3, 2, 2, a)
-
-
-def test_identity_plus_adds_entries(ring3):
-    a = ring3.parse("a1 - 2")
-    m = identity_plus(ring3, 3, {(3, 1): a, (2, 2): 4})
-    for i in range(3):
-        for j in range(3):
-            expected = {(2, 0): a, (1, 1): ring3.const(5)}.get(
-                (i, j), ring3.one if i == j else ring3.zero
-            )
-            assert m[i, j] == expected
-    assert identity_plus(ring3, 2, {}) == identity(ring3, 2)
-    for outside in ((0, 1), (1, 4), (4, 4)):
-        with pytest.raises(ShapeError):
-            identity_plus(ring3, 3, {outside: a})
+    for i, j in ((0, 1), (1, 4), (4, 3)):
+        with pytest.raises(ShapeError, match=rf"^entry \({i}, {j}\) outside a 3x3 matrix$"):
+            transvection(ring3, 3, i, j, a)
     with pytest.raises(DescriptorMismatchError):
-        identity_plus(ring3, 3, {(1, 2): POLY2.one})
+        transvection(ring3, 3, 1, 2, POLY2.one)
 
 
 def test_conjugator_determinant(ring3):
@@ -170,8 +160,8 @@ def test_inverse_matches_the_det_route(ring3):
     # Unit determinants, so that the inverses themselves are compared too.
     for n in (2, 3):
         for _ in range(10):
-            a = identity_plus(ring3, n, {(1, n): _random_element(rng, ring3)})
-            b = identity_plus(ring3, n, {(n, 1): _random_element(rng, ring3)})
+            a = transvection(ring3, n, 1, n, _random_element(rng, ring3))
+            b = transvection(ring3, n, n, 1, _random_element(rng, ring3))
             m = (a * b).scale(-1) if n == 3 else a * b
             inverse = m.inverse()
             assert inverse == _inverse_by_det(m)

@@ -22,7 +22,6 @@ from colstab import (
     RingElement,
     ShapeError,
     annihilator_block,
-    build_preimage_candidate,
     c_adic_decompose,
     check_stab,
     cohn_matrix,
@@ -33,7 +32,6 @@ from colstab import (
     gen_S,
     gen_T,
     identity,
-    identity_plus,
     in_H,
     in_delta,
     in_scheme,
@@ -143,7 +141,8 @@ def test_check_stab_reports_defect(ring3):
 
 def test_check_stab_requires_unit_determinant(ring3):
     c1, c2 = ring3.c(1), ring3.c(2)
-    m = identity_plus(ring3, 3, {(1, 1): c2 * c2, (1, 2): -(c1 * c2)})
+    one, zero = ring3.one, ring3.zero
+    m = Mat([[one + c2 * c2, -(c1 * c2), zero], [zero, one, zero], [zero, zero, one]])
     assert m.apply_column(column(ring3)) == column(ring3)
     with pytest.raises(NotAUnitError) as err:
         check_stab(m)
@@ -424,7 +423,10 @@ def test_every_column_fixing_matrix_satisfies_the_relations(ring, data):
 
 def _broken(ring, entries):
     """The identity with 1-based entries increased, wrapped uncertified."""
-    return StabMatrix(identity_plus(ring, 3, entries))
+    rows = [list(row) for row in identity(ring, 3).rows]
+    for (i, j), value in entries.items():
+        rows[i - 1][j - 1] += value
+    return StabMatrix(Mat(rows))
 
 
 def test_residues_fail_as_the_dense_route_does(ring3):
@@ -813,7 +815,7 @@ def test_traced_callables_stay_plain_functions():
 
 
 def test_candidate_for_identity_is_identity(ring3):
-    cand, defect = build_preimage_candidate(CongruenceMatrix(identity(ring3, 2)))
+    cand, defect = candidate_from_splits(canonical_splits(identity(ring3, 2)))
     assert cand == identity(ring3, 3)
     assert defect.is_zero
 
@@ -821,7 +823,7 @@ def test_candidate_for_identity_is_identity(ring3):
 def test_candidate_for_upper_transvection(ring3):
     f = ring3.parse("a1*a2 - 1")
     b = CongruenceMatrix(transvection(ring3, 2, 1, 2, f))
-    cand, defect = build_preimage_candidate(b)
+    cand, defect = candidate_from_splits(canonical_splits(b.mat))
     assert defect.is_zero
     assert cand == gen_T(ring3, 3, 1, 2, -f).mat
     assert rho(check_stab(cand)).mat == b.mat
@@ -830,7 +832,7 @@ def test_candidate_for_upper_transvection(ring3):
 def test_cohn_candidate_frozen():
     ring = POLY3
     b = CongruenceMatrix(cohn_matrix(ring))
-    cand, defect = build_preimage_candidate(b)
+    cand, defect = candidate_from_splits(canonical_splits(b.mat))
     assert defect.is_zero
     expected = Mat(
         [
@@ -859,7 +861,7 @@ def test_preimage_of_cohn_matrix_is_the_direct_candidate():
     b = CongruenceMatrix(cohn_matrix(ring))
     report = preimage(b)
     assert report.ok
-    direct, _ = build_preimage_candidate(b)
+    direct, _ = candidate_from_splits(canonical_splits(b.mat))
     assert report.preimage.mat == direct
     assert report.preimage.mat.det() == ring.one
     assert rho(report.preimage).mat == b.mat
@@ -879,7 +881,7 @@ def test_preimage_obstructed_on_mixed_transvection(ring3):
 
 def test_candidate_for_mixed_transvection_has_nonunit_determinant(ring3):
     b = CongruenceMatrix(transvection(ring3, 2, 2, 1, ring3.c(1) * ring3.c(2)))
-    cand, defect = build_preimage_candidate(b)
+    cand, defect = candidate_from_splits(canonical_splits(b.mat))
     assert defect == -ring3.c(3)
     assert cand.det() == ring3.one - ring3.c(3)
     assert not cand.det().is_unit()
@@ -1033,7 +1035,7 @@ def test_successful_preimage_certifies_by_construction(make_target, monkeypatch)
     report, calls = _logged_preimage(
         monkeypatch,
         make_target(),
-        ("check_stab", "build_preimage_candidate", "in_scheme", "rho", "residues_closed_form"),
+        ("check_stab", "in_scheme", "rho", "residues_closed_form"),
     )
     assert report.ok
     assert calls == ["residues_closed_form", "/residues_closed_form"]

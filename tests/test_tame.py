@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -264,37 +265,44 @@ def _raised(build):
 
 
 @pytest.mark.parametrize(
-    "letter, ring",
+    "args, ring, error",
     [
-        (Letter("T", (1, 1, 2), POLY3.one), POLY3),
-        (Letter("T", (2, 3, 1), POLY3.one), POLY3),
-        (Letter("T", (1, 2, 4), POLY3.one), POLY3),
-        (Letter("S", (2, 1), POLY3.one), POLY3),
-        (Letter("S", (1, 4), POLY3.one), POLY3),
-        (Letter("T", (1, 2, 3), POLY2.var(1)), POLY3),
-        (Letter("S", (1, 3), LAUR3.var(1)), POLY3),
-        (Letter("T", (3, 1, 2), "a1"), POLY3),
-        (Letter("S", (2, 3), 1.5), LAUR3),
-        (Letter("T", (1, 2, 3), POLY2.one), POLY2),
-        (Letter("S", (2, 3), POLY2.one), POLY2),
+        (("T", (1, 1, 2), POLY3.one), POLY3, ValueError),
+        (("T", (2, 3, 1), POLY3.one), POLY3, ValueError),
+        (("T", (1, 2, 4), POLY3.one), POLY3, ValueError),
+        (("S", (2, 1), POLY3.one), POLY3, ValueError),
+        (("S", (1, 4), POLY3.one), POLY3, ValueError),
+        (("T", (3, 1, 2), "a1"), POLY3, ShapeError),
+        (("S", (2, 3), 1.5), LAUR3, ShapeError),
     ],
-    ids=[
-        "T-repeated-index",
-        "T-unordered",
-        "T-index-4",
-        "S-unordered",
-        "S-index-4",
-        "T-other-ring",
-        "S-other-ring",
-        "T-string",
-        "S-float",
-        "T-two-variables",
-        "S-two-variables",
-    ],
+    ids=["T-repeated-index", "T-unordered", "T-index-4", "S-unordered", "S-index-4",
+         "T-string", "S-float"],
 )
-def test_eval_word_raises_as_the_letter_does(letter, ring):
+def test_bad_letters_raise_when_made(args, ring, error):
+    expected = _raised(lambda: Letter(*args))
+    assert expected[0] is error
+    # gen_T and gen_S make the letter before anything is evaluated.
+    kind, indices, param = args
+    gen = gen_T if kind == "T" else gen_S
+    assert _raised(lambda: gen(ring, *indices, param)) == expected
+
+
+@pytest.mark.parametrize(
+    "args, ring",
+    [
+        (("T", (1, 2, 3), POLY2.var(1)), POLY3),
+        (("S", (1, 3), LAUR3.var(1)), POLY3),
+        (("T", (1, 2, 3), POLY2.one), POLY2),
+        (("S", (2, 3), POLY2.one), POLY2),
+    ],
+    ids=["T-other-ring", "S-other-ring", "T-two-variables", "S-two-variables"],
+)
+def test_eval_word_raises_as_the_letter_does(args, ring):
+    # What depends on the ring is found on evaluation, the same way on
+    # every route.
+    letter = Letter(*args)
     expected = _raised(lambda: letter.evaluate(ring))
-    assert expected[0] in (ValueError, OutOfRangeError, ShapeError, DescriptorMismatchError)
+    assert expected[0] in (OutOfRangeError, DescriptorMismatchError)
     lead = Letter("S", (1, 2), ring.one)
     assert _raised(lambda: eval_word(ring, TameWord((lead, letter)))) == expected
 
@@ -303,8 +311,21 @@ def test_unknown_letter_kind_is_rejected(ring3):
     # Rejected when the letter is made, so no route can read it as S.
     with pytest.raises(ValueError, match="^unknown letter kind 't'$"):
         Letter("t", (1, 2), ring3.one)
-    with pytest.raises(ValueError, match="^unknown letter kind 't'$"):
-        TameWord.from_json(ring3, [{"kind": "t", "i": 1, "j": 2, "a": "1"}])
+
+
+@pytest.mark.parametrize("param", [1, Fraction(1, 2)])
+def test_a_letter_parameter_is_a_ring_element(param):
+    # Only gen_T and gen_S, which know the ring, take a number as a constant.
+    with pytest.raises(ShapeError, match="^parameter must be a ring element, not "):
+        Letter("T", (1, 2, 3), param)
+
+
+def test_generators_take_numbers_as_constants_of_their_ring():
+    ring = RingDescriptor(Mode.POLYNOMIAL, 3, Coeff.RATIONALS)
+    half = ring.const(Fraction(1, 2))
+    assert gen_T(ring, 1, 2, 3, Fraction(1, 2)) == Letter("T", (1, 2, 3), half).evaluate(ring)
+    assert gen_S(ring, 1, 3, Fraction(1, 2)) == Letter("S", (1, 3), half).evaluate(ring)
+    assert gen_T(ring, 3, 1, 2, 2) == Letter("T", (3, 1, 2), ring.const(2)).evaluate(ring)
 
 
 def test_eval_word_builds_no_letter_matrix(ring3, monkeypatch):
@@ -361,8 +382,22 @@ def test_word_image_is_product_of_letter_images(ring3):
 def test_word_json_round_trip(ring3):
     word = sample_tame(ring3, 3, 6)
     data = word.to_json()
-    assert TameWord.from_json(ring3, data) == word
     assert data and all(set(obj) >= {"kind", "a"} for obj in data)
+    assert [ring3.parse(obj["a"]) for obj in data] == [x.param for x in word.letters]
+
+
+@pytest.mark.parametrize(
+    "ring", _WORD_RINGS, ids=lambda r: f"{r.mode.value}-{r.coeff.value}-{r.nvars}"
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_letter_serializes_and_parses_back(ring, data):
+    for letter in data.draw(words(ring)).letters:
+        obj = letter.to_obj()
+        keys = ("i", "j", "k") if letter.kind == "T" else ("i", "j")
+        assert set(obj) == {"kind", "a", *keys}
+        assert (obj["kind"], tuple(obj[key] for key in keys)) == (letter.kind, letter.indices)
+        assert ring.parse(obj["a"]) == letter.param
 
 
 # -- triangular images ----------------------------------------------------------------
