@@ -83,7 +83,8 @@ class ExponentRangeError(ColstabError):
 
 
 class OutOfRangeError(ColstabError, ValueError):
-    """A variable count, variable index or decomposition depth outside its range."""
+    """A variable count, variable index, decomposition depth, coefficient or
+    exponent vector outside the ring's range."""
 
 
 class Mode(Enum):
@@ -183,10 +184,10 @@ class RingDescriptor:
         """Key of a validated exponent vector and its largest exponent magnitude."""
         exps = tuple(exps)
         if len(exps) != self.nvars:
-            raise ValueError("exponent vector has wrong length")
+            raise OutOfRangeError("exponent vector has wrong length")
         low, high = min(exps), max(exps)
         if low < 0 and self.mode is Mode.POLYNOMIAL:
-            raise ValueError("negative exponent in polynomial mode")
+            raise OutOfRangeError("negative exponent in polynomial mode")
         magnitude = max(high, -low)
         if magnitude > MAX_EXPONENT:
             raise ExponentRangeError(magnitude)
@@ -445,13 +446,6 @@ class RingElement:
             acc[key] = acc.get(key, 0) + coeff
         return _element(ring, {key: c for key, c in acc.items() if c}, self._span)
 
-    def specialize_all(self) -> RingElement:
-        """Evaluate every variable at the base point: a constant."""
-        ring = self.ring
-        if ring.mode is Mode.POLYNOMIAL:
-            return ring.const(self._terms.get(ring._origin, 0))
-        return ring.const(sum(self._terms.values()))
-
     def divide_exact(self, d: RingElement) -> RingElement:
         """Exact quotient by a product of c_i powers; NotDivisibleError otherwise."""
         divisor = self._coerce(d)
@@ -507,14 +501,14 @@ def _coerce_coeff(ring: RingDescriptor, value):
     if ring.coeff is Coeff.INTEGERS:
         if isinstance(value, Fraction):
             if value.denominator != 1:
-                raise ValueError("fractional coefficient in an integer ring")
+                raise OutOfRangeError("fractional coefficient in an integer ring")
             return int(value)
         if isinstance(value, int):
             return int(value)  # a bool is kept as the int it equals
-        raise ValueError(f"bad coefficient {value!r}")
+        raise OutOfRangeError(f"bad coefficient {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    raise ValueError(f"bad coefficient {value!r}")
+    raise OutOfRangeError(f"bad coefficient {value!r}")
 
 
 def _divide_c(g: RingElement, k: int) -> RingElement:

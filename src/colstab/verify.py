@@ -3,7 +3,8 @@ acceptance tests.
 
 Each suite takes a ring, a trial count and a seed, draws its inputs from one
 seeded stream, and returns one pass/fail tally per property it checks.  All
-comparisons are exact.
+comparisons are exact.  Every outcome goes through one ``_Tally``, which counts
+each trial once per check and is the only builder of ``CheckResult``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,24 @@ class CheckResult:
         return self.failed == 0
 
 
+class _Tally:
+    """Pass/fail counts of a suite's checks.  Results come in the order of the
+    names given to the constructor, then of each other check's first outcome."""
+
+    def __init__(self, *order):
+        self._counts = {name: [0, 0] for name in order}
+
+    def __call__(self, name, ok):
+        self._counts.setdefault(name, [0, 0])[0 if ok else 1] += 1
+
+    def results(self, details=None) -> list[CheckResult]:
+        details = details or {}
+        return [
+            CheckResult(name, passed, failed, details.get(name, ""))
+            for name, (passed, failed) in self._counts.items()
+        ]
+
+
 def _random_element(
     rng: random.Random, ring: RingDescriptor, max_terms=3, bound=3, span=None
 ):
@@ -92,17 +111,7 @@ def _random_c_divisor(rng, ring):
 
 def suite_decomposition(ring, trials, seed):
     rng = random.Random(seed)
-    results = {
-        "codec-round-trip": [0, 0],
-        "c-adic-reconstruction": [0, 0],
-        "exact-division-round-trip": [0, 0],
-        "specialize-homomorphism": [0, 0],
-        "split-reconstruction": [0, 0],
-    }
-
-    def tally(key, ok):
-        results[key][0 if ok else 1] += 1
-
+    tally = _Tally()
     for _ in range(trials):
         g = _random_element(rng, ring)
         h = _random_element(rng, ring)
@@ -122,20 +131,19 @@ def suite_decomposition(ring, trials, seed):
         beta = b1 * ring.c(1) + b2 * ring.c(2)
         s1, s2 = delta_split_linear(beta)
         tally("split-reconstruction", s1 * ring.c(1) + s2 * ring.c(2) == beta)
-    return [CheckResult(name, p, f) for name, (p, f) in results.items()]
+    return tally.results()
 
 
 def suite_stab2(ring, trials, seed):
     rng = random.Random(seed)
     col = [ring.c(1), ring.c(2)]
-    fixes, adds, shapes = [0, 0], [0, 0], [0, 0]
+    tally = _Tally()
     for _ in range(trials):
         a = _random_element(rng, ring, span=2)
         b = _random_element(rng, ring, span=2)
         m = stab2(a)
-        ok = m.apply_column(col) == col and m.det() == ring.one
-        fixes[0 if ok else 1] += 1
-        adds[0 if stab2(a) * stab2(b) == stab2(a + b) else 1] += 1
+        tally("stab2-fixes-column-det-1", m.apply_column(col) == col and m.det() == ring.one)
+        tally("stab2-one-parameter-group", m * stab2(b) == stab2(a + b))
         lam = _random_element(rng, ring, span=2)
         shaped = Mat(
             [
@@ -144,14 +152,11 @@ def suite_stab2(ring, trials, seed):
             ]
         )
         try:
-            shapes[0 if stab2_param(shaped) == lam else 1] += 1
+            ok = stab2_param(shaped) == lam
         except NotInStab2Error:
-            shapes[1] += 1
-    return [
-        CheckResult("stab2-fixes-column-det-1", *fixes),
-        CheckResult("stab2-one-parameter-group", *adds),
-        CheckResult("stab2-param-round-trip", *shapes),
-    ]
+            ok = False
+        tally("stab2-param-round-trip", ok)
+    return tally.results()
 
 
 def _sample_stab(rng, ring, max_len=8):
@@ -160,41 +165,36 @@ def _sample_stab(rng, ring, max_len=8):
 
 def suite_relations(ring, trials, seed):
     rng = random.Random(seed)
-    relations, agree = [0, 0], [0, 0]
+    tally = _Tally()
     for _ in range(trials):
         a = _sample_stab(rng, ring)
         try:
             # residues checks all four relations and raises if one fails
             q = residues(a)
-            relations[0] += 1
-            agree[0 if residues_closed_form(a) == q else 1] += 1
         except ColstabError:
-            relations[1] += 1
-            agree[1] += 1
-    return [
-        CheckResult("residue-relations-exact", *relations),
-        CheckResult("closed-form-agreement", *agree),
-    ]
+            q = None
+        tally("residue-relations-exact", q is not None)
+        try:
+            ok = q is not None and residues_closed_form(a) == q
+        except ColstabError:
+            ok = False
+        tally("closed-form-agreement", ok)
+    return tally.results()
 
 
 def suite_homomorphism(ring, trials, seed):
     rng = random.Random(seed)
-    mult, unit, inv, comp = [0, 0], [0, 0], [0, 0], [0, 0]
-    unit[0 if rho(check_stab(identity(ring, 3))).mat == identity(ring, 2) else 1] += 1
+    tally = _Tally("rho-multiplicative", "rho-identity")
+    tally("rho-identity", rho(check_stab(identity(ring, 3))).mat == identity(ring, 2))
     for _ in range(trials):
         a = _sample_stab(rng, ring, max_len=5)
         b = _sample_stab(rng, ring, max_len=5)
         ra, rb = rho(a), rho(b)
-        mult[0 if rho(a * b).mat == ra.mat * rb.mat else 1] += 1
-        inv[0 if rho(a.inverse()).mat == ra.mat.inverse() else 1] += 1
+        tally("rho-multiplicative", rho(a * b).mat == ra.mat * rb.mat)
+        tally("rho-inverse", rho(a.inverse()).mat == ra.mat.inverse())
         composed = compose_residues(residues(a), residues(b))
-        comp[0 if composed.to_matrix() == ra.mat * rb.mat else 1] += 1
-    return [
-        CheckResult("rho-multiplicative", *mult),
-        CheckResult("rho-identity", *unit),
-        CheckResult("rho-inverse", *inv),
-        CheckResult("residue-composition-matches-product", *comp),
-    ]
+        tally("residue-composition-matches-product", composed.to_matrix() == ra.mat * rb.mat)
+    return tally.results()
 
 
 def _random_splits(rng, ring):
@@ -203,19 +203,16 @@ def _random_splits(rng, ring):
 
 def suite_determinant(ring, trials, seed):
     rng = random.Random(seed)
-    ok, bad, nonzero_defects = 0, 0, 0
+    tally = _Tally()
+    nonzero_defects = 0
     for _ in range(trials):
         splits = _random_splits(rng, ring)
         cand, defect = candidate_from_splits(splits)
+        nonzero_defects += not defect.is_zero
         b = matrix_from_splits(splits)
-        if not defect.is_zero:
-            nonzero_defects += 1
-        if cand.det() == b.det() + defect:
-            ok += 1
-        else:
-            bad += 1
+        tally("candidate-determinant-defect", cand.det() == b.det() + defect)
     detail = f"{nonzero_defects} samples had a nonzero defect"
-    return [CheckResult("candidate-determinant-defect", ok, bad, detail)]
+    return tally.results({"candidate-determinant-defect": detail})
 
 
 def _random_scheme_zero_defect(rng, ring):
@@ -244,43 +241,25 @@ def _random_scheme_zero_defect(rng, ring):
 
 def suite_preimage(ring, trials, seed):
     rng = random.Random(seed)
-    round_trips, successes = [0, 0], [0, 0]
+    tally = _Tally()
     for _ in range(trials):
         b = CongruenceMatrix(_random_scheme_zero_defect(rng, ring))
         cand, defect = candidate_from_splits(canonical_splits(b.mat))
-        ok = (
-            defect.is_zero
-            and cand.det().is_unit()
-            and rho(check_stab(cand)).mat == b.mat
-        )
-        round_trips[0 if ok else 1] += 1
+        ok = defect.is_zero and cand.det().is_unit() and rho(check_stab(cand)).mat == b.mat
+        tally("candidate-rho-round-trip", ok)
         report = preimage(b)
         ok = report.ok and rho(report.preimage).mat == b.mat
-        successes[0 if ok else 1] += 1
-    results = [
-        CheckResult("candidate-rho-round-trip", *round_trips),
-        CheckResult("preimage-success-zero-correction", *successes),
-    ]
+        tally("preimage-success-zero-correction", ok)
     if ring.mode is Mode.POLYNOMIAL:
         cohn = CongruenceMatrix(cohn_matrix(ring))
         report = preimage(cohn)
-        ok = (
-            report.ok
-            and report.preimage.mat.det() == ring.one
-            and rho(report.preimage).mat == cohn.mat
-        )
-        results.append(CheckResult("cohn-preimage", 1 if ok else 0, 0 if ok else 1))
+        ok = report.ok and report.preimage.mat.det() == ring.one
+        tally("cohn-preimage", ok and rho(report.preimage).mat == cohn.mat)
     blocked = transvection(ring, 2, 2, 1, ring.c(1) * ring.c(2))
     report = preimage(CongruenceMatrix(blocked))
-    ok = (
-        report.status == "OBSTRUCTED"
-        and report.stage == "transvection-preimage"
-        and report.obstruction == ring.one
-    )
-    results.append(
-        CheckResult("mixed-transvection-obstructed", 1 if ok else 0, 0 if ok else 1)
-    )
-    return results
+    ok = report.status == "OBSTRUCTED" and report.stage == "transvection-preimage"
+    tally("mixed-transvection-obstructed", ok and report.obstruction == ring.one)
+    return tally.results()
 
 
 def _sample_kernel_member(rng, ring, max_len=4):
@@ -305,27 +284,24 @@ def _sample_kernel_member(rng, ring, max_len=4):
 
 def suite_kernel(ring, trials, seed):
     rng = random.Random(seed)
-    member, trivial = [0, 0], [0, 0]
+    tally = _Tally()
     for _ in range(trials):
         a = _sample_kernel_member(rng, ring)
-        member[0 if in_H(a) else 1] += 1
-        trivial[0 if rho(a).mat == identity(ring, 2) else 1] += 1
-    return [
-        CheckResult("kernel-scheme-membership", *member),
-        CheckResult("kernel-maps-to-identity", *trivial),
-    ]
+        tally("kernel-scheme-membership", in_H(a))
+        tally("kernel-maps-to-identity", rho(a).mat == identity(ring, 2))
+    return tally.results()
 
 
 def suite_triangular(ring, trials, seed):
     rng = random.Random(seed)
-    count = [0, 0]
+    tally = _Tally()
     tokens = [("T", idx) for idx in T_INDICES] + [("S", idx) for idx in S_INDICES]
     per_token = max(trials // len(tokens), 1)
     for kind, indices in tokens:
         for _ in range(per_token):
             letter = Letter(kind, indices, _random_element(rng, ring, max_terms=2))
-            count[0 if prop2_check(ring, letter) else 1] += 1
-    return [CheckResult("generator-images-triangular", *count)]
+            tally("generator-images-triangular", prop2_check(ring, letter))
+    return tally.results()
 
 
 SUITES = {

@@ -28,6 +28,13 @@ def conjugator(ring):
     )
 
 
+def at_base_point(g):
+    """g with every variable at the base point (every c_k -> 0): a constant."""
+    for k in range(1, g.ring.nvars + 1):
+        g = g.specialize(k)
+    return g
+
+
 def elements(ring, max_terms=4, bound=4, max_deg=3):
     """Strategy producing random elements of the given ring, zero included,
     with coefficients of magnitude at most bound; in rational rings they are

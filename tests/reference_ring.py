@@ -233,12 +233,6 @@ class RingElement:
                 del acc[collapsed]
         return RingElement(self.ring, acc, _clean=True)
 
-    def specialize_all(self) -> RingElement:
-        g = self
-        for k in range(1, self.ring.nvars + 1):
-            g = g.specialize(k)
-        return g
-
     def divide_exact(self, d: RingElement) -> RingElement:
         """Exact quotient by a product of c_i powers; NotDivisibleError otherwise."""
         d = self._coerce(d)

@@ -26,6 +26,7 @@ from colstab import (
     delta_split_linear,
     delta_split_quadratic,
     format_element,
+    gen_T,
     in_delta,
     mat_from_document,
     mat_to_document,
@@ -34,12 +35,13 @@ from colstab import (
 
 from colstab.ring import (
     MAX_EXPONENT,
+    OutOfRangeError,
     _c_power_factors,
     _require_two_variable,
     _two_variable,
     c_heads,
 )
-from conftest import LAUR2, LAUR3, POLY2, POLY3, elements
+from conftest import LAUR2, LAUR3, POLY2, POLY3, at_base_point, elements
 
 
 # -- descriptors ----------------------------------------------------------------
@@ -130,6 +132,26 @@ def test_bool_coefficients_are_stored_as_numbers(coeff):
             assert parse_element(ring, text) == g
             assert mat_from_document(mat_to_document(Mat([[g]]))) == Mat([[g]])
     assert format_element(ring.monomial(True, (1, 0, 0))) == "a1"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: POLY3.const(1.5), "bad coefficient 1.5"),
+        (lambda: POLY3.monomial(1, (0, -1, 0)), "negative exponent in polynomial mode"),
+        (lambda: POLY3.monomial(1, (0, 1)), "exponent vector has wrong length"),
+        (
+            lambda: gen_T(POLY3, 1, 2, 3, Fraction(1, 2)),
+            "fractional coefficient in an integer ring",
+        ),
+    ],
+    ids=["float-coefficient", "negative-exponent", "short-exponents", "fraction-parameter"],
+)
+def test_coefficients_and_exponents_outside_the_ring_are_domain_errors(make, message):
+    # Both a ColstabError, for library callers, and a ValueError, as before.
+    with pytest.raises(OutOfRangeError, match=f"^{message}$") as err:
+        make()
+    assert isinstance(err.value, ColstabError) and isinstance(err.value, ValueError)
 
 
 @pytest.mark.parametrize("ring", [POLY3, LAUR3], ids=["polynomial", "laurent"])
@@ -365,7 +387,7 @@ def test_in_delta_examples():
 @given(data=st.data())
 def test_in_delta_matches_base_point_vanishing(ring, data):
     g = data.draw(elements(ring))
-    assert in_delta(g, 1) == g.specialize_all().is_zero
+    assert in_delta(g, 1) == at_base_point(g).is_zero
 
 
 @pytest.mark.parametrize("ring", [POLY2, LAUR2], ids=["polynomial", "laurent"])
@@ -396,10 +418,10 @@ def _ring_id(ring):
 def _in_delta_by_heads(g, p):
     """The route ``in_delta`` replaced: g at the base point, then the linear
     head of g along each c_k there."""
-    if not g.specialize_all().is_zero:
+    if not at_base_point(g).is_zero:
         return False
     return p == 1 or all(
-        c_heads(g, k, 2)[1].specialize_all().is_zero for k in range(1, g.ring.nvars + 1)
+        at_base_point(c_heads(g, k, 2)[1]).is_zero for k in range(1, g.ring.nvars + 1)
     )
 
 
