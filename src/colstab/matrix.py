@@ -15,6 +15,7 @@ from .ring import (
     Coeff,
     ColstabError,
     Mode,
+    OutOfRangeError,
     RingDescriptor,
     RingElement,
     _dot,
@@ -182,7 +183,7 @@ def transvection(ring: RingDescriptor, n: int, i: int, j: int, a: RingElement) -
     """Identity plus a single off-diagonal entry a at the 1-based (i, j); an
     int ``a`` is taken as a constant of ``ring``."""
     if i == j:
-        raise ValueError("transvection indices must differ")
+        raise OutOfRangeError("transvection indices must differ")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ShapeError(f"entry ({i}, {j}) outside a {n}x{n} matrix")
     rows = [[ring.one if r == s else ring.zero for s in range(n)] for r in range(n)]

@@ -83,8 +83,10 @@ class ExponentRangeError(ColstabError):
 
 
 class OutOfRangeError(ColstabError, ValueError):
-    """A variable count, variable index, decomposition depth, coefficient or
-    exponent vector outside the ring's range."""
+    """An argument outside the range its operation accepts, such as a
+    variable index, coefficient or exponent vector outside the ring's range,
+    a letter that is no generator's, or a word longer than
+    ``tame.MAX_WORD_LENGTH``."""
 
 
 class Mode(Enum):
@@ -384,7 +386,7 @@ class RingElement:
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers are supported")
+            raise OutOfRangeError("only nonnegative integer powers are supported")
         result = self.ring.one
         base = self
         while n:
@@ -672,7 +674,7 @@ def in_delta(g: RingElement, p: int) -> bool:
     g and, for p = 2, every linear head ``c_heads(g, k, 2)[1]`` vanish at the
     base point.  Read off the terms, building no element."""
     if p not in (1, 2):
-        raise ValueError("only first and second powers are supported")
+        raise OutOfRangeError("only first and second powers are supported")
     ring, terms = g.ring, g._terms
     origin = ring._origin
     if ring.mode is Mode.POLYNOMIAL:  # no constant term, and for p = 2 no term a_k

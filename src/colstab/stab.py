@@ -14,6 +14,7 @@ vanishing determinant defect lifts back to an explicit 3x3 stabilizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .matrix import Mat, NotAUnitError, ShapeError, identity, mat_to_document
@@ -79,6 +80,15 @@ class StabMatrix:
     @property
     def ring(self) -> RingDescriptor:
         return self.mat.ring
+
+    @cached_property
+    def _c3_heads(self) -> tuple:
+        """Heads 0 and 1 along c3 of the entries of the first two columns, by
+        row: entry (i, j) is ``c_heads(mat[i, j], 3, 2)``.  Taken once, when
+        first read; ``residues_closed_form`` (so ``rho`` and the guard of
+        ``preimage``) and ``in_H`` share them, and ``residues`` never reads
+        them."""
+        return tuple(tuple(c_heads(x, 3, 2) for x in row[:2]) for row in self.mat.rows)
 
     def __mul__(self, other: "StabMatrix") -> "StabMatrix":
         return StabMatrix(self.mat * other.mat)
@@ -237,20 +247,19 @@ def residues_closed_form(a: StabMatrix) -> ResidueQuadruple:
     """Residues from closed formulas in the c3-heads of the entries of the
     matrix minus identity, each read off one entry; the route ``rho`` takes.
 
-    The heads are taken of the entries themselves: ``c_heads`` is linear and
-    the heads of 1 are (1, 0), so on the diagonal only head 0 differs, by
-    one, and gamma's sum takes that one off.  gamma and beta are one fused
-    sum each, and delta is two nested ones.
+    The heads are the stabilizer's shared ``_c3_heads``, taken of the
+    entries themselves: ``c_heads`` is linear and the heads of 1 are (1, 0),
+    so on the diagonal only head 0 differs, by one, and gamma's sum takes
+    that one off.  gamma and beta are one fused sum each, and delta is two
+    nested ones.
     """
-    m, ring = a.mat, a.ring
+    ring = a.ring
     c1, c2, one = ring.c(1), ring.c(2), ring.one
-
-    a11_0, a11_1 = c_heads(m[0, 0], 3, 2)
-    _, a12_1 = c_heads(m[0, 1], 3, 2)
-    a21_0, a21_1 = c_heads(m[1, 0], 3, 2)
-    _, a22_1 = c_heads(m[1, 1], 3, 2)
-    a31_0, a31_1 = c_heads(m[2, 0], 3, 2)
-    a32_0, a32_1 = c_heads(m[2, 1], 3, 2)
+    (
+        ((a11_0, a11_1), (_, a12_1)),
+        ((a21_0, a21_1), (_, a22_1)),
+        ((a31_0, a31_1), (a32_0, a32_1)),
+    ) = a._c3_heads
     try:
         alpha = (-a31_0).divide_exact(c2)
         alpha_check = a32_0.divide_exact(c1)
@@ -517,10 +526,13 @@ def in_H(a: StabMatrix) -> bool:
     one, zero = a.ring.one, a.ring.zero
     # c3^t divides x - [i == j] exactly when the first t heads of x along c3
     # vanish, head 0 on the diagonal being 1 instead: the heads of 1 are
-    # (1, 0).
-    for i, row in enumerate(a.mat.rows):
-        for j, x in enumerate(row):
-            head0, *rest = c_heads(x, 3, 1 if j == 2 else 2)
-            if head0 != (one if i == j else zero) or any(rest):
+    # (1, 0).  The first two columns read the shared heads; the third takes
+    # its one head only once they pass.
+    for i, row in enumerate(a._c3_heads):
+        for j, (head0, head1) in enumerate(row):
+            if head0 != (one if i == j else zero) or head1:
                 return False
-    return True
+    return all(
+        c_heads(row[2], 3, 1)[0] == (one if i == 2 else zero)
+        for i, row in enumerate(a.mat.rows)
+    )

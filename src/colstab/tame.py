@@ -17,6 +17,7 @@ from .ring import (
     ColstabError,
     Mode,
     NotDivisibleError,
+    OutOfRangeError,
     RingDescriptor,
     RingElement,
     _dot,
@@ -30,6 +31,11 @@ class NotInStab2Error(ColstabError):
         super().__init__(message)
         self.witness = witness
 
+
+# The longest word ``sample_tame`` draws, the longest length measured to run:
+# entry term counts grow about cubically with the length, so a far longer
+# word would ask for more time and memory than any host has.
+MAX_WORD_LENGTH = 99
 
 # Every index tuple a T and an S letter can carry.
 T_INDICES = ((1, 2, 3), (2, 1, 3), (3, 1, 2))
@@ -52,10 +58,10 @@ class Letter:
 
     def __post_init__(self):
         if self.kind not in ("T", "S"):
-            raise ValueError(f"unknown letter kind {self.kind!r}")
+            raise OutOfRangeError(f"unknown letter kind {self.kind!r}")
         allowed = T_INDICES if self.kind == "T" else S_INDICES
         if self.indices not in allowed:
-            raise ValueError(
+            raise OutOfRangeError(
                 f"{self.kind} letter indices must be one of {allowed}, not {self.indices!r}"
             )
         if not isinstance(self.param, RingElement):
@@ -201,9 +207,11 @@ def sample_tame(
     """Deterministic word sampler: uniform token kinds and index tuples,
     parameters monomials of total degree at most 2 with bounded coefficients."""
     if length < 0:
-        raise ColstabError(f"word length must be at least 0, got {length}")
+        raise OutOfRangeError(f"word length must be at least 0, got {length}")
+    if length > MAX_WORD_LENGTH:
+        raise OutOfRangeError(f"word length must be at most {MAX_WORD_LENGTH}, got {length}")
     if coeff_bound < 0:
-        raise ColstabError(f"coefficient bound must be at least 0, got {coeff_bound}")
+        raise OutOfRangeError(f"coefficient bound must be at least 0, got {coeff_bound}")
     rng = random.Random(seed)
     letters = []
     for _ in range(length):
@@ -224,9 +232,9 @@ def prop2_check(ring: RingDescriptor, letter: Letter) -> bool:
 def cohn_matrix(ring: RingDescriptor) -> Mat:
     """The classical unit-determinant 2x2 matrix outside the elementary subgroup."""
     if ring.mode is not Mode.POLYNOMIAL:
-        raise ValueError("the Cohn matrix lives over the polynomial ring")
+        raise OutOfRangeError("the Cohn matrix lives over the polynomial ring")
     if ring.nvars < 2:
-        raise ValueError("the Cohn matrix needs at least two variables")
+        raise OutOfRangeError("the Cohn matrix needs at least two variables")
     a1, a2 = ring.var(1), ring.var(2)
     one = ring.one
     return Mat(

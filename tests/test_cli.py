@@ -17,9 +17,11 @@ from colstab import (
     transvection,
 )
 import colstab.cli
+import colstab.tame
 import colstab.verify
 from colstab.cli import main
 from colstab.ring import MAX_DEPTH, MAX_EXPONENT, MAX_NVARS
+from colstab.tame import MAX_WORD_LENGTH
 
 from conftest import POLY2, POLY3
 
@@ -263,6 +265,20 @@ def test_tame_sample_rejects_negative_length(capsys):
     assert code == 3
     assert payload["error"] == "domain"
     assert "length" in payload["message"]
+
+def test_tame_sample_rejects_a_length_above_the_ceiling_before_sampling(capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("sampled a letter")
+
+    monkeypatch.setattr(colstab.tame, "_random_param", forbidden)
+    code, out, _ = run_cli(capsys, "tame-sample", "--length", "1000000")
+    payload = json.loads(out)
+    assert code == 3
+    assert payload == {
+        "subcommand": "tame-sample",
+        "error": "domain",
+        "message": f"word length must be at most {MAX_WORD_LENGTH}, got 1000000",
+    }
 
 def test_tame_sample_of_length_zero_is_the_identity(capsys):
     code, out, _ = run_cli(capsys, "tame-sample", "--length", "0", "--mode", "laurent")

@@ -2,6 +2,7 @@ import ast
 import copy
 import inspect
 import pickle
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from colstab import (
     ColstabError,
     DescriptorMismatchError,
     ExponentRangeError,
+    Letter,
     Mat,
     Mode,
     NotDivisibleError,
@@ -23,6 +25,7 @@ from colstab import (
     RingDescriptor,
     RingElement,
     c_adic_decompose,
+    cohn_matrix,
     delta_split_linear,
     delta_split_quadratic,
     format_element,
@@ -31,6 +34,7 @@ from colstab import (
     mat_from_document,
     mat_to_document,
     parse_element,
+    transvection,
 )
 
 from colstab.ring import (
@@ -150,6 +154,36 @@ def test_bool_coefficients_are_stored_as_numbers(coeff):
 def test_coefficients_and_exponents_outside_the_ring_are_domain_errors(make, message):
     # Both a ColstabError, for library callers, and a ValueError, as before.
     with pytest.raises(OutOfRangeError, match=f"^{message}$") as err:
+        make()
+    assert isinstance(err.value, ColstabError) and isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: POLY3.var(1) ** -1, "only nonnegative integer powers are supported"),
+        (lambda: in_delta(POLY3.one, 3), "only first and second powers are supported"),
+        (lambda: transvection(POLY3, 3, 1, 1, POLY3.one), "transvection indices must differ"),
+        (lambda: Letter("t", (1, 2, 3), POLY3.one), "unknown letter kind 't'"),
+        (
+            lambda: Letter("T", (1, 1, 2), POLY3.one),
+            "T letter indices must be one of ((1, 2, 3), (2, 1, 3), (3, 1, 2)), not (1, 1, 2)",
+        ),
+        (lambda: cohn_matrix(LAUR3), "the Cohn matrix lives over the polynomial ring"),
+        (
+            lambda: cohn_matrix(RingDescriptor(Mode.POLYNOMIAL, 1)),
+            "the Cohn matrix needs at least two variables",
+        ),
+    ],
+    ids=[
+        "negative-power", "third-ideal-power", "equal-transvection-indices",
+        "letter-kind", "letter-indices", "laurent-cohn", "one-variable-cohn",
+    ],
+)
+def test_arguments_outside_an_operations_range_are_domain_errors(make, message):
+    # A library caller catches each as a ColstabError; each keeps its
+    # message and stays a ValueError.
+    with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$") as err:
         make()
     assert isinstance(err.value, ColstabError) and isinstance(err.value, ValueError)
 
@@ -605,6 +639,20 @@ def test_no_module_imports_a_name_it_does_not_use():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_no_module_raises_a_bare_value_error():
+    # A domain error of the library is a ColstabError, so that one except
+    # clause catches them all; OutOfRangeError is also a ValueError for
+    # callers that catch that.  TypeError stays for operands of a wrong type.
+    package = Path(colstab.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                bare = isinstance(exc, ast.Name) and exc.id == "ValueError"
+                assert not bare, f"{path.name}:{node.lineno} raises a bare ValueError"
 
 
 def test_only_the_ring_module_reads_packed_terms():

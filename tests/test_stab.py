@@ -3,6 +3,7 @@ import inspect
 import json
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from colstab import (
     RingDescriptor,
     RingElement,
     ShapeError,
+    TameWord,
     annihilator_block,
     c_adic_decompose,
     check_stab,
@@ -529,6 +531,90 @@ def test_closed_form_matches_its_parent_body(ring, data):
         )
     )
     assert _outcome(residues_closed_form, a) == _outcome(_parent_residues_closed_form, a)
+
+
+def _parent_in_H(a):
+    """in_H as it stood before the heads were shared: every entry's heads
+    taken afresh, row by row, depth 2 on the first two columns and 1 on the
+    third."""
+    one, zero = a.ring.one, a.ring.zero
+    for i, row in enumerate(a.mat.rows):
+        for j, x in enumerate(row):
+            head0, *rest = c_heads(x, 3, 1 if j == 2 else 2)
+            if head0 != (one if i == j else zero) or any(rest):
+                return False
+    return True
+
+
+def _seeded_stabilizer(ring, seed, length, denominator, kernel):
+    """A kernel member, or a sampled word whose parameters are divided by
+    denominator over the rationals, so that its coefficients are fractions."""
+    if kernel:
+        return _sample_kernel_member(random.Random(seed), ring)
+    letters = sample_tame(ring, seed, length).letters
+    if ring.coeff is Coeff.RATIONALS:
+        scale = Fraction(1, denominator)
+        letters = tuple(Letter(x.kind, x.indices, x.param * scale) for x in letters)
+    return eval_word(ring, TameWord(letters))
+
+
+@pytest.mark.parametrize("ring", RINGS3, ids=_ring_id)
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(0, 8),
+    denominator=st.integers(1, 3),
+    kernel=st.booleans(),
+)
+def test_shared_heads_match_fresh_heads_and_the_parent_bodies(
+    ring, seed, length, denominator, kernel
+):
+    a = _seeded_stabilizer(ring, seed, length, denominator, kernel)
+    # Over three variables rho's parent body is the closed form's matrix.
+    assert rho(a).mat == _parent_residues_closed_form(a).to_matrix()
+    assert residues_closed_form(a) == _parent_residues_closed_form(a)
+    assert in_H(a) == _parent_in_H(a)
+    if kernel:
+        assert in_H(a)
+    for i in range(3):
+        for j in range(2):
+            assert a._c3_heads[i][j] == c_heads(a.mat[i, j], 3, 2)
+
+
+@pytest.mark.parametrize("ring", RINGS3, ids=_ring_id)
+def test_a_stabilizer_takes_each_head_once(ring, monkeypatch):
+    taken = []
+
+    def counting(x, k, t):
+        taken.append((x, k, t))
+        return c_heads(x, k, t)
+
+    monkeypatch.setattr(colstab.stab, "c_heads", counting)
+    member = _sample_kernel_member(random.Random(5), ring)
+    other = _sample(ring, 5, length=8)
+    for a, in_kernel in ((member, True), (other, False)):
+        taken.clear()
+        for _ in range(2):
+            rho(a)
+            residues_closed_form(a)
+            assert in_H(a) is in_kernel
+        # The first two columns once each, row by row, whatever reads them;
+        # the third's one head per in_H call, and only once the first two pass.
+        first_two = [(x, 3, 2) for row in a.mat.rows for x in row[:2]]
+        third = [(row[2], 3, 1) for row in a.mat.rows]
+        assert taken == first_two + (third * 2 if in_kernel else [])
+
+
+def test_residues_never_reads_the_shared_heads(ring3):
+    a, b = _sample(ring3, 9, length=8), _sample(ring3, 10, length=8)
+    expected = residues(a)
+    assert "_c3_heads" not in vars(a)
+    # With another stabilizer's heads in its memo, the closed form follows
+    # the memo while the relations route still reads reduce(a).
+    poisoned = StabMatrix(a.mat)
+    vars(poisoned)["_c3_heads"] = b._c3_heads
+    assert residues(poisoned) == expected
+    assert residues_closed_form(poisoned) == residues(b) != expected
 
 
 def test_heads_only_callers_divide_by_no_c3(ring3, monkeypatch):

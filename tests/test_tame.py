@@ -32,7 +32,7 @@ from colstab import (
 )
 from colstab.ring import OutOfRangeError
 from colstab.stab import CongruenceMatrix
-from colstab.tame import S_INDICES, T_INDICES
+from colstab.tame import MAX_WORD_LENGTH, S_INDICES, T_INDICES
 
 from conftest import LAUR2, LAUR3, POLY2, POLY3, words
 
@@ -200,6 +200,21 @@ def test_empty_word_evaluates_to_identity(ring3):
     assert eval_word(ring3, TameWord(())) == check_stab(identity(ring3, 3))
 
 
+def test_sampler_draws_up_to_the_length_ceiling_and_rejects_longer(ring3, monkeypatch):
+    assert len(sample_tame(ring3, 7, MAX_WORD_LENGTH)) == MAX_WORD_LENGTH
+
+    def forbidden(*args):
+        raise AssertionError("sampled a letter")
+
+    # The ceiling is checked before the first draw, so no long word is begun.
+    monkeypatch.setattr(colstab.tame, "_random_param", forbidden)
+    for length in (MAX_WORD_LENGTH + 1, 10**6):
+        with pytest.raises(
+            OutOfRangeError, match=f"^word length must be at most {MAX_WORD_LENGTH}, got {length}$"
+        ):
+            sample_tame(ring3, 7, length)
+
+
 def test_sampler_is_deterministic(ring3):
     first = sample_tame(ring3, 42, 5)
     second = sample_tame(ring3, 42, 5)
@@ -267,11 +282,11 @@ def _raised(build):
 @pytest.mark.parametrize(
     "args, ring, error",
     [
-        (("T", (1, 1, 2), POLY3.one), POLY3, ValueError),
-        (("T", (2, 3, 1), POLY3.one), POLY3, ValueError),
-        (("T", (1, 2, 4), POLY3.one), POLY3, ValueError),
-        (("S", (2, 1), POLY3.one), POLY3, ValueError),
-        (("S", (1, 4), POLY3.one), POLY3, ValueError),
+        (("T", (1, 1, 2), POLY3.one), POLY3, OutOfRangeError),
+        (("T", (2, 3, 1), POLY3.one), POLY3, OutOfRangeError),
+        (("T", (1, 2, 4), POLY3.one), POLY3, OutOfRangeError),
+        (("S", (2, 1), POLY3.one), POLY3, OutOfRangeError),
+        (("S", (1, 4), POLY3.one), POLY3, OutOfRangeError),
         (("T", (3, 1, 2), "a1"), POLY3, ShapeError),
         (("S", (2, 3), 1.5), LAUR3, ShapeError),
     ],
