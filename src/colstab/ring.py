@@ -616,6 +616,47 @@ def c_adic_decompose(g: RingElement, k: int, t: int) -> CAdicDecomposition:
     return CAdicDecomposition(k=k, heads=tuple(heads), tail=current)
 
 
+def _last_variable_heads(g: RingElement, t: int) -> tuple:
+    """Laurent ``c_heads`` along the last variable to depth t <= 3, in one
+    pass over the keys in sorted order.
+
+    The last variable's field is the lowest bits of a key, so the terms that
+    differ only in it are adjacent: a run of keys with one ``key >> _FIELD_BITS``.
+    Heads 0, 1 and 2 of a run are the sums of c, e*c and C(e, 2)*c over its
+    terms, each added up in a local and stored once, at the run's key with
+    the field reset to exponent 0, where it is not zero.
+    """
+    terms = g._terms
+    heads = ({}, {}, {})
+    h0, h1, h2 = heads
+    deep = t == 3
+    keys = sorted(terms)
+    keys.append(-1)  # no key's run, so it closes the last one
+    # Run 0 starts with zero sums, so closing it stores nothing unless it is
+    # a real run, as it is over one variable.
+    run = s0 = s1 = s2 = 0
+    for key in keys:
+        if key >> _FIELD_BITS != run:
+            base = (run << _FIELD_BITS) + _BIAS
+            if s0:
+                h0[base] = s0
+            if s1:
+                h1[base] = s1
+            if s2:
+                h2[base] = s2
+            if key < 0:
+                break
+            run = key >> _FIELD_BITS
+            s0 = s1 = s2 = 0
+        c = terms[key]
+        e = (key & _FIELD_MASK) - _BIAS
+        s0 += c
+        s1 += e * c
+        if deep:
+            s2 += e * (e - 1) // 2 * c
+    return tuple(_element(g.ring, acc, g._span) for acc in heads[:t])
+
+
 def c_heads(g: RingElement, k: int, t: int) -> tuple:
     """The first t heads of g along powers of c_k, as ``c_adic_decompose``
     peels them, with no division.
@@ -624,8 +665,10 @@ def c_heads(g: RingElement, k: int, t: int) -> tuple:
     polynomial mode head i is the terms of a_k-degree i with a_k removed, read
     in one pass over the terms.  In Laurent mode a_k^e = (1 + c_k)^e, so a
     term contributes its coefficient times the binomial C(e, i) to head i, for
-    negative e too; the terms are grouped by e first, so each binomial is
-    taken once per exponent of a_k rather than once per term.
+    negative e too.  Along the last variable to depth 3 or less, the case the
+    stabilizer maps read, ``_last_variable_heads`` sums each run of adjacent
+    keys in one pass; otherwise the terms are grouped by e first, so each
+    binomial is taken once per exponent of a_k rather than once per term.
     """
     if not 1 <= t <= MAX_DEPTH:
         raise OutOfRangeError(f"depth must lie in 1..{MAX_DEPTH}")
@@ -642,6 +685,8 @@ def c_heads(g: RingElement, k: int, t: int) -> tuple:
             if e < t:
                 accs[e][key - field + zero] = coeff
         return tuple(_element(ring, acc, g._span) for acc in accs)
+    if k == ring.nvars and t <= 3:
+        return _last_variable_heads(g, t)
     # Terms of one exponent e differ outside field k, so within a group the
     # keys stay distinct when field k is reset to exponent 0.
     groups: dict = {}

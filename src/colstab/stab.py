@@ -85,10 +85,17 @@ class StabMatrix:
     def _c3_heads(self) -> tuple:
         """Heads 0 and 1 along c3 of the entries of the first two columns, by
         row: entry (i, j) is ``c_heads(mat[i, j], 3, 2)``.  Taken once, when
-        first read; ``residues_closed_form`` (so ``rho`` and the guard of
-        ``preimage``) and ``in_H`` share them, and ``residues`` never reads
-        them."""
+        first read; ``_closed_form`` and ``in_H`` share them, and ``residues``
+        never reads them."""
         return tuple(tuple(c_heads(x, 3, 2) for x in row[:2]) for row in self.mat.rows)
+
+    @cached_property
+    def _closed_form(self) -> "ResidueQuadruple":
+        """The residues from ``_closed_form_residues``, taken once, when first
+        read; ``residues_closed_form`` returns them, so ``rho`` and the guard
+        of ``preimage`` share them, and ``residues`` never reads them.  A
+        ``RelationFailedError`` is raised again on every read, never kept."""
+        return _closed_form_residues(self)
 
     def __mul__(self, other: "StabMatrix") -> "StabMatrix":
         return StabMatrix(self.mat * other.mat)
@@ -150,26 +157,25 @@ class ReductionParts:
         return self.pole + (identity(self.pole.ring, 2) + inner).scale(c3)
 
 
-def _minus_c3(n: Mat) -> list:
-    """The rows of a reduced numerator with c3 off its two diagonal entries."""
-    c3 = n.ring.c(3)
-    return [[x - c3 if i == j else x for j, x in enumerate(r)] for i, r in enumerate(n.rows)]
-
-
-def _reduction_heads(n: Mat) -> tuple:
-    """Heads 0, 1 and 2 along c3 of a reduced numerator minus c3 times the
-    identity, entrywise: the pole, order0 and order1, each as its rows."""
-    heads = [[c_heads(x, 3, 3) for x in row] for row in _minus_c3(n)]
-    return tuple(tuple(tuple(h[level] for h in row) for row in heads) for level in range(3))
+def _reduction_heads(heads, one) -> tuple:
+    """The pole, order0 and order1 of a reduced numerator, each as its rows:
+    heads 0, 1 and 2 along c3 of the numerator minus c3 times the identity,
+    from heads 0, 1 and 2 of its entries.  The heads of c3 are (0, 1, 0), so
+    on the diagonal only head 1 differs, by one."""
+    pole, order0, order1 = (
+        tuple(tuple(h[level] for h in row) for row in heads) for level in range(3)
+    )
+    (o11, o12), (o21, o22) = order0
+    return pole, ((o11 - one, o12), (o21, o22 - one)), order1
 
 
 def r_decompose(n: Mat) -> ReductionParts:
     """Entrywise split of a reduced numerator minus c3 times the identity:
-    heads 0, 1 and 2 along c3 are the pole, order0 and order1."""
-    decs = [[c_adic_decompose(x, 3, 3) for x in row] for row in _minus_c3(n)]
-    pole, order0, order1 = (
-        Mat([[d.heads[level] for d in row] for row in decs]) for level in range(3)
-    )
+    heads 0, 1 and 2 along c3 are the pole, order0 and order1.  c3 has a
+    zero tail at depth 3, so the tail is that of the numerator."""
+    decs = [[c_adic_decompose(x, 3, 3) for x in row] for row in n.rows]
+    heads = [[d.heads for d in row] for row in decs]
+    pole, order0, order1 = map(Mat, _reduction_heads(heads, n.ring.one))
     return ReductionParts(pole, order0, order1, Mat([[d.tail for d in row] for row in decs]))
 
 
@@ -235,7 +241,8 @@ def residues(a: StabMatrix) -> ResidueQuadruple:
     c1, c2 = ring.c(1), ring.c(2)
     u, v = (c1, c2), (c2, -c1)
     block = annihilator_block(ring).rows
-    pole, order0, order1 = _reduction_heads(reduce(a))
+    heads = [[c_heads(x, 3, 3) for x in row] for row in reduce(a).rows]
+    pole, order0, order1 = _reduction_heads(heads, ring.one)
     alpha = _solve_multiple(pole[0] + pole[1], block[0] + block[1])
     beta = _solve_multiple([_dot(row, u) for row in order0], u)
     gamma = _solve_multiple([_dot(v, col) for col in zip(*order0)], v)
@@ -246,6 +253,13 @@ def residues(a: StabMatrix) -> ResidueQuadruple:
 def residues_closed_form(a: StabMatrix) -> ResidueQuadruple:
     """Residues from closed formulas in the c3-heads of the entries of the
     matrix minus identity, each read off one entry; the route ``rho`` takes.
+    Computed once per stabilizer, by ``_closed_form_residues``, and kept.
+    """
+    return a._closed_form
+
+
+def _closed_form_residues(a: StabMatrix) -> ResidueQuadruple:
+    """The body of ``residues_closed_form``.
 
     The heads are the stabilizer's shared ``_c3_heads``, taken of the
     entries themselves: ``c_heads`` is linear and the heads of 1 are (1, 0),

@@ -1,7 +1,10 @@
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -598,3 +601,41 @@ def test_two_calls_build_one_parser_and_print_the_same_bytes(capsys, monkeypatch
     assert len(built) == 1
     assert first == second and first[0] == 0
     assert colstab.cli.build_parser() is built[0]
+
+
+# Each integer option of each subcommand, with the flags the subcommand needs.
+_INTEGER_OPTIONS = [
+    (["decompose", "--expr", "a1"], "--nvars"),
+    (["decompose", "--expr", "a1"], "--var"),
+    (["decompose", "--expr", "a1"], "--depth"),
+    (["tame-sample"], "--nvars"),
+    (["tame-sample"], "--seed"),
+    (["tame-sample"], "--length"),
+    (["tame-sample"], "--coeff-bound"),
+    (["verify"], "--trials"),
+    (["verify"], "--seed"),
+    (["verify"], "--nvars"),
+]
+
+
+@pytest.mark.parametrize("value", [10**9, -(10**9)])
+@pytest.mark.parametrize(
+    "argv, option", _INTEGER_OPTIONS, ids=[f"{a[0]}{o}" for a, o in _INTEGER_OPTIONS]
+)
+def test_an_extreme_integer_option_ends_within_seconds(argv, option, value):
+    # One option at a time, in a fresh interpreter, so that a run that does
+    # not end is stopped by the timeout rather than hanging the suite.
+    src = str(Path(colstab.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "colstab.cli", *argv, option, str(value)],
+        capture_output=True,
+        text=True,
+        timeout=15,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode in (0, 2, 3)
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["subcommand"] == argv[0]
+    assert ("error" in doc) == (proc.returncode != 0)

@@ -38,9 +38,11 @@ from colstab import (
 )
 
 from colstab.ring import (
+    _BIAS,
     MAX_EXPONENT,
     OutOfRangeError,
     _c_power_factors,
+    _element,
     _require_two_variable,
     _two_variable,
     c_heads,
@@ -473,6 +475,115 @@ def test_in_delta_matches_the_heads_route(ring, data):
         g = g + h * ring.c(data.draw(st.integers(1, ring.nvars)))
     for p in (1, 2):
         assert in_delta(g, p) == _in_delta_by_heads(g, p)
+
+
+def _grouped_heads(g, k, t):
+    """Laurent ``c_heads`` as it stood before the sorted pass: the terms
+    grouped by the exponent e of a_k, then each group added into every head
+    with the binomial C(e, i)."""
+    ring = g.ring
+    mask, zero = ring._field(k)
+    shift = ring._shifts[k - 1]
+    accs = [{} for _ in range(t)]
+    groups: dict = {}
+    for key, coeff in g._terms.items():
+        field = key & mask
+        group = groups.get(field)
+        if group is None:
+            groups[field] = group = []
+        group.append((key + zero - field, coeff))
+    for field, group in groups.items():
+        e = (field >> shift) - _BIAS
+        binomial = 1
+        for i, acc in enumerate(accs):
+            get = acc.get
+            for key, coeff in group:
+                acc[key] = get(key, 0) + binomial * coeff
+            binomial = binomial * (e - i) // (i + 1)
+            if not binomial:
+                break
+    return tuple(
+        _element(ring, {key: c for key, c in acc.items() if c}, g._span) for acc in accs
+    )
+
+
+def _laurent3_terms(ring):
+    """Strategy for the terms of a three-variable Laurent element, as a list of
+    (exponents, coefficient): few exponents of a1 and a2, so that runs of
+    keys that differ only in a3 are long, and exponents of a3 near zero or
+    near either end of the range."""
+    if ring.coeff is Coeff.RATIONALS:
+        coeffs = st.fractions(-4, 4, max_denominator=3).filter(bool)
+    else:
+        coeffs = st.integers(-4, 4).filter(bool)
+    far = st.integers(MAX_EXPONENT - 3, MAX_EXPONENT)
+    e3 = st.integers(-3, 3) | far | far.map(lambda e: -e)
+    exps = st.tuples(st.integers(-1, 1), st.integers(-1, 1), e3)
+    return st.lists(st.tuples(exps, coeffs), max_size=12)
+
+
+@pytest.mark.parametrize("coeff", list(Coeff), ids=lambda c: c.value)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_last_variable_heads_match_the_grouped_body(coeff, data):
+    # Empty, one-term and many-term elements, plus runs whose heads cancel:
+    # (a3 - 1)^p * a3^e * m has zero heads below depth p, so c3^3 times
+    # anything is zero at every depth the sorted pass takes.
+    ring = RingDescriptor(Mode.LAURENT, 3, coeff)
+    g = ring.zero
+    for exps, c in data.draw(_laurent3_terms(ring)):
+        g = g + ring.monomial(c, exps)
+    for _ in range(data.draw(st.integers(0, 2))):
+        p = data.draw(st.integers(1, 3))
+        e = data.draw(st.integers(-MAX_EXPONENT, MAX_EXPONENT - p))
+        m = ring.monomial(data.draw(st.integers(-3, 3)), [data.draw(st.integers(-1, 1)), 0, e])
+        g = g + m * ring.c(3) ** p
+    t = data.draw(st.integers(1, 3))
+    assert c_heads(g, 3, t) == _grouped_heads(g, 3, t)
+
+
+def test_last_variable_heads_of_edge_elements():
+    ring = LAUR3
+    c3 = ring.c(3)
+    n = MAX_EXPONENT
+    cases = {
+        "0": (ring.zero,) * 3,
+        "3*a1*a3^-2": tuple(ring.parse(x) for x in ("3*a1", "-6*a1", "9*a1")),
+        # a3^n = (1 + c3)^n: heads C(n, 0..2); a3^-n: C(-n, 0..2).
+        f"a3^{n}": tuple(ring.const(x) for x in (1, n, n * (n - 1) // 2)),
+        f"a3^-{n}": tuple(ring.const(x) for x in (1, -n, n * (n + 1) // 2)),
+    }
+    for text, expected in cases.items():
+        assert c_heads(ring.parse(text), 3, 3) == expected
+    # A run that cancels at every depth, beside one that does not.
+    g = ring.parse("a1*a2^-1") * c3**3 + ring.parse("a2*a3")
+    assert c_heads(g, 3, 3) == (ring.parse("a2"), ring.parse("a2"), ring.zero)
+
+
+def test_only_last_variable_heads_to_depth_three_take_the_sorted_pass(monkeypatch):
+    # The sorted pass runs for k == nvars and t <= 3 in Laurent mode; the
+    # grouped route takes every other variable and depth, and polynomial
+    # mode bypasses both.
+    sorted_pass = colstab.ring._last_variable_heads
+    taken = []
+
+    def spy(g, t):
+        taken.append(t)
+        return sorted_pass(g, t)
+
+    monkeypatch.setattr(colstab.ring, "_last_variable_heads", spy)
+    for ring in SMALL_RINGS:
+        g = ring.zero
+        for k in range(1, ring.nvars + 1):
+            g = g + ring.c(k) * ring.c(k) - ring.var(k) * 3
+        for k in range(1, ring.nvars + 1):
+            for t in (1, 2, 3, 4, 64):
+                taken.clear()
+                heads = c_heads(g, k, t)
+                routed = ring.mode is Mode.LAURENT and k == ring.nvars and t <= 3
+                assert taken == ([t] if routed else [])
+                if ring.mode is Mode.LAURENT:
+                    assert heads == _grouped_heads(g, k, t)
 
 
 def test_in_delta_reads_the_gradient_of_every_variable():

@@ -617,6 +617,65 @@ def test_residues_never_reads_the_shared_heads(ring3):
     assert residues_closed_form(poisoned) == residues(b) != expected
 
 
+@pytest.mark.parametrize("ring", RINGS3, ids=_ring_id)
+def test_a_stabilizer_takes_its_closed_form_once(ring, monkeypatch):
+    taken = []
+    body = colstab.stab._closed_form_residues
+
+    def counting(a):
+        taken.append(a)
+        return body(a)
+
+    monkeypatch.setattr(colstab.stab, "_closed_form_residues", counting)
+    a = _sample(ring, 7, length=8)
+    for _ in range(2):
+        image = rho(a)
+        assert residues_closed_form(a).to_matrix() == image.mat
+    assert taken == [a] and taken[0] is a
+    # preimage's guard takes the closed form of its lift; rho and
+    # residues_closed_form of the reported preimage then read it.
+    taken.clear()
+    report = preimage(image)
+    assert report.ok and taken == [report.preimage]
+    for _ in range(2):
+        assert rho(report.preimage).mat == image.mat
+        residues_closed_form(report.preimage)
+    assert len(taken) == 1
+
+
+def test_a_failed_closed_form_is_never_kept(ring3, monkeypatch):
+    taken = []
+    body = colstab.stab._closed_form_residues
+
+    def counting(a):
+        taken.append(a)
+        return body(a)
+
+    monkeypatch.setattr(colstab.stab, "_closed_form_residues", counting)
+    message = "inexact division in closed form: not divisible by c2"
+    a = _broken(ring3, {(3, 1): ring3.one})
+    for route in (residues_closed_form, rho, residues_closed_form):
+        with pytest.raises(RelationFailedError) as excinfo:
+            route(a)
+        assert str(excinfo.value) == message
+        assert "_closed_form" not in vars(a)
+    assert len(taken) == 3
+
+
+def test_residues_never_reads_either_memo(ring3):
+    a, b = _sample(ring3, 9, length=8), _sample(ring3, 10, length=8)
+    expected = residues(a)
+    assert "_c3_heads" not in vars(a) and "_closed_form" not in vars(a)
+    # With another stabilizer's residues kept as its closed form, rho and
+    # residues_closed_form follow the memo; the relations route does not.
+    poisoned = StabMatrix(a.mat)
+    vars(poisoned)["_closed_form"] = residues_closed_form(b)
+    assert residues(poisoned) == expected != residues(b)
+    assert residues_closed_form(poisoned) == residues(b)
+    assert rho(poisoned).mat == rho(b).mat
+    assert "_c3_heads" not in vars(poisoned)
+
+
 def test_heads_only_callers_divide_by_no_c3(ring3, monkeypatch):
     # The residues, rho and in_H read heads along c3 only; none needs the
     # quotient by c3 that a tail would.

@@ -8,6 +8,7 @@ false``, and one count per trial for every check.
 
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ import pytest
 import colstab
 import colstab.verify
 from colstab.cli import main
+from colstab.matrix import NotAUnitError
+from colstab.ring import OutOfRangeError
 from colstab.stab import PreimageReport, RelationFailedError
 from colstab.tame import NotInStab2Error
 
@@ -68,6 +71,7 @@ WRONG = {
         "preimage",
         lambda real: lambda b: PreimageReport("OBSTRUCTED", stage="patched"),
     ),
+    "preimage-candidate-not-certified": ("preimage", "check_stab", _raise(NotAUnitError)),
     "kernel-membership-negated": ("kernel", "in_H", lambda real: lambda a: not real(a)),
     "triangular-s-letters-fail": (
         "triangular",
@@ -142,6 +146,21 @@ EXPECTED = {
             ("mixed-transvection-obstructed", 0, 1),
         ],
     },
+    # check_stab takes the candidate's determinant, so its error fails the
+    # round trip, as a determinant that is not a unit does.
+    "preimage-candidate-not-certified": {
+        "polynomial": [
+            ("candidate-rho-round-trip", 0, 6),
+            ("preimage-success-zero-correction", 6, 0),
+            ("cohn-preimage", 1, 0),
+            ("mixed-transvection-obstructed", 1, 0),
+        ],
+        "laurent": [
+            ("candidate-rho-round-trip", 0, 6),
+            ("preimage-success-zero-correction", 6, 0),
+            ("mixed-transvection-obstructed", 1, 0),
+        ],
+    },
     "kernel-membership-negated": _both(
         ("kernel-scheme-membership", 0, 6), ("kernel-maps-to-identity", 6, 0)
     ),
@@ -180,3 +199,45 @@ def test_check_results_are_built_at_one_site():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CheckResult"
     ]
     assert len(calls) == 1
+
+
+def test_max_trials_lies_above_every_documented_count():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    # The README's examples, less its statement of the ceiling itself.
+    ceiling = colstab.verify.MAX_TRIALS
+    documented = {int(n) for n in re.findall(r"--trials (\d+)", readme)} - {ceiling}
+    assert max(documented) == 200 < ceiling
+
+
+@pytest.mark.parametrize("suite", ["stab2", "all"])
+def test_too_many_trials_exit_3_before_any_draw(monkeypatch, capsys, suite):
+    def forbidden(*args):
+        raise AssertionError("a suite ran")
+
+    for name in colstab.verify.SUITES:
+        monkeypatch.setitem(colstab.verify.SUITES, name, forbidden)
+    ceiling = colstab.verify.MAX_TRIALS
+    for trials in (ceiling + 1, 10**9):
+        code = main(["verify", "--suite", suite, "--trials", str(trials)])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert payload == {
+            "subcommand": "verify",
+            "error": "domain",
+            "message": f"trials must be at most {ceiling}, got {trials}",
+        }
+
+
+def test_trials_from_one_to_the_ceiling_are_run(monkeypatch):
+    seen = []
+    monkeypatch.setitem(
+        colstab.verify.SUITES, "stab2", lambda ring, trials, seed: seen.append(trials) or []
+    )
+    ring = colstab.RingDescriptor(colstab.Mode.POLYNOMIAL, 3)
+    ceiling = colstab.verify.MAX_TRIALS
+    for trials in (1, ceiling):
+        assert colstab.verify.run_suite("stab2", ring, trials, 0) == []
+    for trials in (0, ceiling + 1):
+        with pytest.raises(OutOfRangeError):
+            colstab.verify.run_suite("stab2", ring, trials, 0)
+    assert seen == [1, ceiling]
