@@ -617,8 +617,9 @@ def test_residues_never_reads_the_shared_heads(ring3):
     assert residues_closed_form(poisoned) == residues(b) != expected
 
 
-@pytest.mark.parametrize("ring", RINGS3, ids=_ring_id)
-def test_a_stabilizer_takes_its_closed_form_once(ring, monkeypatch):
+@pytest.fixture
+def closed_forms_taken(monkeypatch):
+    """The stabilizers whose closed-form body runs, in order."""
     taken = []
     body = colstab.stab._closed_form_residues
 
@@ -627,6 +628,12 @@ def test_a_stabilizer_takes_its_closed_form_once(ring, monkeypatch):
         return body(a)
 
     monkeypatch.setattr(colstab.stab, "_closed_form_residues", counting)
+    return taken
+
+
+@pytest.mark.parametrize("ring", RINGS3, ids=_ring_id)
+def test_a_stabilizer_takes_its_closed_form_once(ring, closed_forms_taken):
+    taken = closed_forms_taken
     a = _sample(ring, 7, length=8)
     for _ in range(2):
         image = rho(a)
@@ -643,15 +650,7 @@ def test_a_stabilizer_takes_its_closed_form_once(ring, monkeypatch):
     assert len(taken) == 1
 
 
-def test_a_failed_closed_form_is_never_kept(ring3, monkeypatch):
-    taken = []
-    body = colstab.stab._closed_form_residues
-
-    def counting(a):
-        taken.append(a)
-        return body(a)
-
-    monkeypatch.setattr(colstab.stab, "_closed_form_residues", counting)
+def test_a_failed_closed_form_is_never_kept(ring3, closed_forms_taken):
     message = "inexact division in closed form: not divisible by c2"
     a = _broken(ring3, {(3, 1): ring3.one})
     for route in (residues_closed_form, rho, residues_closed_form):
@@ -659,7 +658,7 @@ def test_a_failed_closed_form_is_never_kept(ring3, monkeypatch):
             route(a)
         assert str(excinfo.value) == message
         assert "_closed_form" not in vars(a)
-    assert len(taken) == 3
+    assert len(closed_forms_taken) == 3
 
 
 def test_residues_never_reads_either_memo(ring3):
