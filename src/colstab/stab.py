@@ -233,16 +233,35 @@ def residues(a: StabMatrix) -> ResidueQuadruple:
     column, so ``RelationFailedError`` comes only from a ``StabMatrix``
     wrapped around a matrix that does not.
 
-    An independent route to the residues that ``rho`` takes from
-    ``residues_closed_form``: it reads the c3-heads of ``reduce``, not of the
-    matrix.  The verification suites cross-check the two.
+    The numerator is never formed; its heads come from those of the
+    entries.  ``c_heads`` is linear, ``c_{i+1}`` is free of variable 3 and
+    the heads of ``x*c3`` are those of x shifted up by one, so numerator
+    entry (i, j), ``a[i, j]*c3 - c_{i+1}*a[3, j]``, has heads 0, 1 and 2
+    ``-c_{i+1}*h0(a[3, j])``, ``h0(a[i, j]) - c_{i+1}*h1(a[3, j])`` and
+    ``h1(a[i, j]) - c_{i+1}*h2(a[3, j])``.  So it takes heads 0 and 1 of the
+    first two rows and heads 0 to 2 of the third, in the first two columns,
+    each afresh, and reads neither the shared heads nor the kept closed
+    form: an independent route to the residues that ``rho`` takes from
+    ``residues_closed_form``.  The verification suites cross-check the two.
     """
     ring = a.ring
-    c1, c2 = ring.c(1), ring.c(2)
+    c1, c2, one = ring.c(1), ring.c(2), ring.one
     u, v = (c1, c2), (c2, -c1)
     block = annihilator_block(ring).rows
-    heads = [[c_heads(x, 3, 3) for x in row] for row in reduce(a).rows]
-    pole, order0, order1 = _reduction_heads(heads, ring.one)
+    top, middle, bottom = a.mat.rows
+    bottom_heads = [c_heads(x, 3, 3) for x in bottom[:2]]
+    heads = [
+        [
+            (
+                _dot((c,), (l0,), (-1,)),
+                _dot((h0, c), (one, l1), (1, -1)),
+                _dot((h1, c), (one, l2), (1, -1)),
+            )
+            for (h0, h1), (l0, l1, l2) in zip((c_heads(x, 3, 2) for x in row[:2]), bottom_heads)
+        ]
+        for c, row in ((c1, top), (c2, middle))
+    ]
+    pole, order0, order1 = _reduction_heads(heads, one)
     alpha = _solve_multiple(pole[0] + pole[1], block[0] + block[1])
     beta = _solve_multiple([_dot(row, u) for row in order0], u)
     gamma = _solve_multiple([_dot(v, col) for col in zip(*order0)], v)

@@ -586,6 +586,45 @@ def test_only_last_variable_heads_to_depth_three_take_the_sorted_pass(monkeypatc
                     assert heads == _grouped_heads(g, k, t)
 
 
+def _to_sympy(sympy, g, symbols):
+    """g as a sympy expression in the symbols a1..an."""
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(x**e for x, e in zip(symbols, exps)))
+            for exps, c in g.terms.items()
+        )
+    )
+
+
+@pytest.mark.parametrize("coeff", list(Coeff), ids=lambda c: c.value)
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_c_heads_match_sympy(mode, coeff, data):
+    # An oracle that shares no code with c_heads: the heads along c_k are
+    # the coefficients of g in powers of c_k, so of a_k in polynomial mode
+    # and, with a_k = 1 + s, of the series of g in s in Laurent mode.  Every
+    # variable and every depth up to 3 is checked on each element.
+    sympy = pytest.importorskip("sympy")
+    ring = RingDescriptor(mode, 3, coeff)
+    g = data.draw(elements(ring, max_terms=6))
+    symbols = sympy.symbols("a1:4")
+    expr = _to_sympy(sympy, g, symbols)
+    s = sympy.Symbol("s")
+    for k, ak in enumerate(symbols, start=1):
+        if mode is Mode.POLYNOMIAL:
+            want = [expr.coeff(ak, i) for i in range(3)]
+        else:
+            series = sympy.expand(sympy.series(expr.subs(ak, 1 + s), s, 0, 3).removeO())
+            want = [series.coeff(s, i) for i in range(3)]
+        for t in (1, 2, 3):
+            heads = c_heads(g, k, t)
+            assert len(heads) == t
+            for head, coeff_i in zip(heads, want):
+                assert sympy.expand(_to_sympy(sympy, head, symbols) - coeff_i) == 0
+
+
 def test_in_delta_reads_the_gradient_of_every_variable():
     # Laurent: a1*a2^-1 - 1 vanishes at the base point with gradient (1, -1).
     ring = RingDescriptor(Mode.LAURENT, 4, Coeff.RATIONALS)

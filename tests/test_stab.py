@@ -3,6 +3,7 @@ import inspect
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,7 +60,7 @@ from colstab.stab import (
 
 from colstab.cli import main
 from colstab.matrix import mat_to_document, promote
-from colstab.ring import Coeff, _divide_c, c_heads, format_element
+from colstab.ring import Coeff, _divide_c, _dot, c_heads, format_element
 from colstab.tame import S_INDICES, T_INDICES
 from colstab.verify import _random_element, _random_scheme_zero_defect, _sample_kernel_member
 
@@ -605,12 +606,77 @@ def test_a_stabilizer_takes_each_head_once(ring, monkeypatch):
         assert taken == first_two + (third * 2 if in_kernel else [])
 
 
+def _parent_residues(a):
+    """The relations route as it stood before it read the entries' heads:
+    heads 0, 1 and 2 along c3 of the reduced numerator ``reduce(a)``."""
+    ring = a.ring
+    c1, c2 = ring.c(1), ring.c(2)
+    u, v = (c1, c2), (c2, -c1)
+    block = annihilator_block(ring).rows
+    heads = [[c_heads(x, 3, 3) for x in row] for row in reduce(a).rows]
+    pole, order0, order1 = colstab.stab._reduction_heads(heads, ring.one)
+    solve = colstab.stab._solve_multiple
+    alpha = solve(pole[0] + pole[1], block[0] + block[1])
+    beta = solve([_dot(row, u) for row in order0], u)
+    gamma = solve([_dot(v, col) for col in zip(*order0)], v)
+    delta = _dot(order1[0] + order1[1], [y for col in zip(*block) for y in col])
+    return ResidueQuadruple(alpha, beta, gamma, delta)
+
+
+@pytest.mark.parametrize("ring", RINGS3, ids=_ring_id)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_residues_match_their_parent_body(ring, data):
+    # Seeded words (fractional parameters over the rationals) and kernel
+    # members are stabilizers; the identity plus up to four arbitrary
+    # entries mostly is not, and fails with either RelationFailedError
+    # message.
+    params = elements(ring, max_terms=2, max_deg=2)
+    broken = st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 3)), params, max_size=4)
+    seeded = st.builds(
+        _seeded_stabilizer,
+        st.just(ring),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 8),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    a = data.draw(st.one_of(seeded, broken.map(lambda entries: _broken(ring, entries))))
+    assert _outcome(residues, a) == _outcome(_parent_residues, a)
+
+
+@pytest.mark.parametrize("ring", RINGS3, ids=_ring_id)
+def test_residues_take_the_entries_heads_and_build_no_numerator(ring, monkeypatch):
+    samples = [_sample(ring, 11, length=8), _sample_kernel_member(random.Random(11), ring)]
+    expected = [_parent_residues(a) for a in samples]
+    taken = []
+
+    def counting(x, k, t):
+        taken.append((x, k, t))
+        return c_heads(x, k, t)
+
+    def forbidden(a):
+        raise AssertionError("formed the reduced numerator")
+
+    monkeypatch.setattr(colstab.stab, "c_heads", counting)
+    monkeypatch.setattr(colstab.stab, "reduce", forbidden)
+    for a, quadruple in zip(samples, expected):
+        taken.clear()
+        assert residues(a) == quadruple
+        # Heads 0 and 1 of rows 1 and 2 and heads 0 to 2 of row 3, in the
+        # first two columns; each entry once, and no memo kept.
+        rows = a.mat.rows
+        depths = [(x, 3, 3 if i == 2 else 2) for i, row in enumerate(rows) for x in row[:2]]
+        assert Counter(taken) == Counter(depths)
+        assert "_c3_heads" not in vars(a) and "_closed_form" not in vars(a)
+
+
 def test_residues_never_reads_the_shared_heads(ring3):
     a, b = _sample(ring3, 9, length=8), _sample(ring3, 10, length=8)
     expected = residues(a)
     assert "_c3_heads" not in vars(a)
     # With another stabilizer's heads in its memo, the closed form follows
-    # the memo while the relations route still reads reduce(a).
+    # the memo while the relations route takes the entries' heads afresh.
     poisoned = StabMatrix(a.mat)
     vars(poisoned)["_c3_heads"] = b._c3_heads
     assert residues(poisoned) == expected
