@@ -140,9 +140,14 @@ class Mat:
         return Mat([[_cofactor(self.rows, j, i) for j in range(n)] for i in range(n)])
 
     def inverse(self) -> Mat:
-        """Adjugate over the determinant, which its cofactors give; raises unless a unit."""
+        """Adjugate over the determinant, which its cofactors give; raises unless a unit.
+
+        When the determinant is one the adjugate itself is returned, unscaled.
+        """
         adj = self.adjugate()
         d = _dot([r[0] for r in self.rows], adj.rows[0])
+        if d == self.ring.one:
+            return adj
         witness = d.unit_inverse()
         if witness is None:
             raise NotAUnitError(d)

@@ -326,6 +326,17 @@ SUITES = {
 # ring, and "all", which runs them.
 _THREE_VARIABLE_SUITES = ("homomorphism", "triangular", "all")
 
+# The fewest variables each other suite draws over: two for the
+# two-variable draws, three where it builds the column (c1, c2, c3).
+_MIN_NVARS = {
+    "decomposition": 2,
+    "stab2": 2,
+    "relations": 3,
+    "determinant": 3,
+    "preimage": 3,
+    "kernel": 3,
+}
+
 
 MAX_TRIALS = 10_000
 """Largest trial count ``run_suite`` accepts, far above every documented and
@@ -343,6 +354,12 @@ def run_suite(name, ring, trials, seed):
             f"suite {name!r} needs a three-variable ring, got {ring.nvars} variables: "
             "rho takes stabilizers of (c1, c2, c3) over a1, a2, a3 to the "
             "two-variable congruence scheme"
+        )
+    least = _MIN_NVARS.get(name, 1)
+    if ring.nvars < least:
+        raise OutOfRangeError(
+            f"suite {name!r} needs a ring with at least {least} variables, "
+            f"got {ring.nvars}"
         )
     if name == "all":
         results = []

@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 from colstab import Coeff, Letter, Mat, Mode, RingDescriptor, RingElement, TameWord
 from colstab.tame import S_INDICES, T_INDICES
 
+import fox
+
 POLY2 = RingDescriptor(Mode.POLYNOMIAL, 2)
 LAUR2 = RingDescriptor(Mode.LAURENT, 2)
 POLY3 = RingDescriptor(Mode.POLYNOMIAL, 3)
@@ -68,6 +70,21 @@ def words(ring, max_length=10, max_param_terms=8):
         .filter(lambda ls: sum(len(letter.param.terms) for letter in ls) <= max_param_terms)
         .map(lambda ls: TameWord(tuple(ls)))
     )
+
+
+def _compose_all(generators):
+    phi = fox.IDENTITY
+    for generator in generators:
+        phi = fox.compose(phi, generator)
+    return phi
+
+
+# IA-automorphisms of M_3 as compositions of up to three generators, for
+# ``fox.jacobian``; a commutator multiplication makes a word five times
+# longer, so three keeps every entry small.
+automorphisms = st.lists(st.sampled_from(sorted(fox.GENERATORS)), max_size=3).map(
+    lambda names: _compose_all(fox.GENERATORS[name] for name in names)
+)
 
 
 @pytest.fixture(params=[POLY3, LAUR3], ids=["polynomial", "laurent"])

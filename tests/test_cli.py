@@ -332,6 +332,37 @@ def test_rho_suites_need_a_three_variable_ring(capsys, suite):
 
 
 @pytest.mark.parametrize(
+    "suite, least",
+    [
+        ("relations", 3),
+        ("determinant", 3),
+        ("preimage", 3),
+        ("kernel", 3),
+        ("decomposition", 2),
+        ("stab2", 2),
+    ],
+)
+def test_suites_name_their_fewest_variables(capsys, suite, least):
+    for nvars in range(1, least):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", suite, "--nvars", str(nvars), "--trials", "1"
+        )
+        payload = json.loads(out)
+        assert code == 3
+        assert payload == {
+            "subcommand": "verify",
+            "error": "domain",
+            "message": f"suite {suite!r} needs a ring with at least {least} variables, "
+            f"got {nvars}",
+        }
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", suite, "--nvars", str(least), "--trials", "1"
+    )
+    assert code == 0
+    assert json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize(
     "suite", ["decomposition", "stab2", "relations", "determinant", "preimage", "kernel"]
 )
 def test_other_suites_run_at_four_variables(capsys, suite):

@@ -1,36 +1,34 @@
 """Laurent stabilizers from Fox calculus, which shares no code with colstab:
-certification, the two residue routes, the homomorphism rho and the chain
-rule on them."""
+certification, the two residue routes, the homomorphism rho, the chain rule,
+determinant multiplicativity and the preimage of an image on them."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings
 
-from colstab import Coeff, Mode, RingDescriptor, check_stab, residues, residues_closed_form, rho
+from colstab import (
+    Coeff,
+    Mode,
+    RingDescriptor,
+    check_stab,
+    identity,
+    preimage,
+    residues,
+    residues_closed_form,
+    rho,
+)
 from colstab.matrix import transvection
+from colstab.stab import _column_fixing_det
 
 import fox
+from conftest import automorphisms
 
 LAURENT = [RingDescriptor(Mode.LAURENT, 3, coeff) for coeff in Coeff]
 
 
 def _ring_id(ring):
     return ring.coeff.value
-
-
-# Compositions of up to three generators; a commutator multiplication makes
-# a word five times longer, so three keeps every entry small.
-automorphisms = st.lists(st.sampled_from(sorted(fox.GENERATORS)), max_size=3).map(
-    lambda names: _compose_all(fox.GENERATORS[name] for name in names)
-)
-
-
-def _compose_all(generators):
-    phi = fox.IDENTITY
-    for generator in generators:
-        phi = fox.compose(phi, generator)
-    return phi
 
 
 def test_fox_row_of_a_conjugation():
@@ -66,3 +64,29 @@ def test_fox_jacobians_are_certified_stabilizers(ring, phi, psi):
     if ring.coeff is Coeff.RATIONALS:
         coeffs = [c for row in a.mat.rows for x in row for c in x.terms.values()]
         assert all(isinstance(c, Fraction) for c in coeffs)
+
+
+@pytest.mark.parametrize("ring", LAURENT, ids=_ring_id)
+@settings(max_examples=40, deadline=None)
+@given(phi=automorphisms, psi=automorphisms)
+def test_fox_determinants_multiply_through_check_stab(ring, phi, psi):
+    # check_stab's determinant, of J(psi after phi) = J(phi) * J(psi) taken
+    # from the composition, with no matrix product, and of each factor.
+    dets = [
+        _column_fixing_det(check_stab(fox.jacobian(ring, x)).mat)
+        for x in (fox.compose(psi, phi), phi, psi)
+    ]
+    assert dets[0] == dets[1] * dets[2]
+    assert all(d.is_unit() for d in dets)
+
+
+@pytest.mark.parametrize("ring", LAURENT, ids=_ring_id)
+@settings(max_examples=40, deadline=None)
+@given(phi=automorphisms)
+def test_a_lifted_fox_image_leaves_a_kernel_member(ring, phi):
+    # ker rho is larger than H, so the quotient is tested by its image.
+    a = check_stab(fox.jacobian(ring, phi))
+    report = preimage(rho(a))
+    event(report.status)
+    if report.ok:
+        assert rho(a * report.preimage.inverse()).mat == identity(ring, 2)

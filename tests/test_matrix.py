@@ -168,6 +168,23 @@ def test_inverse_matches_the_det_route(ring3):
             assert m * inverse == identity(ring3, n)
 
 
+def test_inverse_scales_only_by_a_determinant_other_than_one(ring3, monkeypatch):
+    rng = random.Random(19)
+    cases = []
+    for n in (2, 3):
+        a = transvection(ring3, n, 1, n, _random_element(rng, ring3))
+        b = transvection(ring3, n, n, 1, _random_element(rng, ring3))
+        cases += [(a * b, 0), ((a * b).scale(-1), n % 2)]
+    scaled = []
+    scale = Mat.scale
+    monkeypatch.setattr(Mat, "scale", lambda m, x: scaled.append(x) or scale(m, x))
+    for m, scales in cases:
+        scaled.clear()
+        assert m.inverse() == _inverse_by_det(m)
+        # _inverse_by_det scales once, Mat.inverse once unless det(m) = 1.
+        assert len(scaled) == 1 + scales
+
+
 def test_matrices_hold_ring_elements_only(ring3):
     # (numerator, c3-exponent) pairs stand for elements of the localization
     for bad in ((ring3.one, 1), (ring3.var(1), 0), 1, "a1"):

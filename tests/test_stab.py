@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import colstab
 from colstab import (
@@ -53,6 +53,7 @@ from colstab.stab import (
     ResidueQuadruple,
     SearchBudget,
     StabMatrix,
+    _column_fixing_det,
     candidate_from_splits,
     canonical_splits,
     matrix_from_splits,
@@ -64,8 +65,18 @@ from colstab.ring import Coeff, _divide_c, _dot, c_heads, format_element
 from colstab.tame import S_INDICES, T_INDICES
 from colstab.verify import _random_element, _random_scheme_zero_defect, _sample_kernel_member
 
+import fox
 import reference_ring as ref
-from conftest import LAUR3, POLY3, at_base_point, conjugator, elements, words, zeros
+from conftest import (
+    LAUR3,
+    POLY3,
+    at_base_point,
+    automorphisms,
+    conjugator,
+    elements,
+    words,
+    zeros,
+)
 
 
 def _sample(ring, seed, length=6):
@@ -884,6 +895,101 @@ def test_rho_respects_identity_and_inverse(ring3):
     for seed in range(10):
         a = _sample(ring3, seed)
         assert rho(a.inverse()).mat == rho(a).mat.inverse()
+
+
+# -- the stabilizer's inverse and certification determinant -------------------------
+
+
+def _assert_the_general_routes_agree(a):
+    """The column-identity routes against ``Mat.inverse`` and ``Mat.det``."""
+    inverse = a.inverse()
+    assert inverse.mat == a.mat.inverse()
+    assert (a * inverse).mat == identity(a.ring, 3)
+    det = a.mat.det()
+    assert _column_fixing_det(a.mat) == det
+    assert det.is_unit() and check_stab(a.mat) == a
+
+
+@pytest.mark.parametrize("ring", RINGS3, ids=_ring_id)
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    other=st.integers(0, 2**32 - 1),
+    length=st.integers(0, 5),
+    denominator=st.integers(1, 3),
+    kernel=st.booleans(),
+)
+def test_stab_inverse_and_det_match_the_general_routes(
+    ring, seed, other, length, denominator, kernel
+):
+    # Lengths stay short: over Laurent rationals a length-4 word times a
+    # length-3 one can have entries of two hundred terms, and the general
+    # routes take over a second on it.
+    a = _seeded_stabilizer(ring, seed, length, denominator, kernel)
+    b = _seeded_stabilizer(ring, other, 2, denominator, False)
+    for x in (a, a * b):
+        _assert_the_general_routes_agree(x)
+
+
+@pytest.mark.parametrize("ring", RINGS3, ids=_ring_id)
+def test_stab_inverse_when_the_difference_has_rank_below_two(ring):
+    # Words of length 0 and 1: a - I has rank at most one, so its adjugate
+    # and w vanish.
+    for seed in range(12):
+        for length in (0, 1):
+            a = _seeded_stabilizer(ring, seed, length, 2, False)
+            assert (a.mat - identity(ring, 3)).adjugate() == zeros(ring, 3, 3)
+            _assert_the_general_routes_agree(a)
+
+
+@pytest.mark.parametrize("ring", [r for r in RINGS3 if r.mode is Mode.LAURENT], ids=_ring_id)
+@settings(max_examples=40, deadline=None)
+@given(phi=automorphisms, psi=automorphisms)
+def test_stab_inverse_and_det_match_on_fox_jacobians(ring, phi, psi):
+    # Their determinants are monomials, so the inverse is scaled.
+    a = check_stab(fox.jacobian(ring, phi))
+    b = check_stab(fox.jacobian(ring, psi))
+    event("determinant one" if a.mat.det() == ring.one else "monomial determinant")
+    for x in (a, a * b):
+        _assert_the_general_routes_agree(x)
+
+
+@pytest.mark.parametrize("ring", RINGS3, ids=_ring_id)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_check_stab_reports_the_determinant_of_a_column_fixing_non_unit(ring, data):
+    coords = data.draw(st.lists(elements(ring, max_terms=2, max_deg=1), min_size=9, max_size=9))
+    cand, defect = candidate_from_splits(CandidateSplits(*coords))
+    assume(defect)
+    det = cand.det()
+    assert _column_fixing_det(cand) == det
+    if det.is_unit():
+        check_stab(cand)
+    else:
+        with pytest.raises(NotAUnitError) as err:
+            check_stab(cand)
+        assert err.value.det == det
+
+
+@pytest.mark.parametrize("ring", RINGS3, ids=_ring_id)
+def test_stab_inverse_and_certificate_take_no_general_route(ring, monkeypatch):
+    rng = random.Random(61)
+    samples = [_sample(ring, rng.getrandbits(32), length=n) for n in range(9)]
+    samples.append(_sample_kernel_member(rng, ring))
+    if ring.mode is Mode.LAURENT:
+        samples.append(check_stab(fox.jacobian(ring, fox.conjugation(1, 3))))
+    expected = [(a.mat.inverse(), a.mat.det()) for a in samples]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a general matrix route was taken")
+
+    for name in ("inverse", "adjugate", "det"):
+        monkeypatch.setattr(Mat, name, forbidden)
+    monkeypatch.setattr(colstab.matrix, "_det", forbidden)
+    for a, (inverse, det) in zip(samples, expected):
+        assert a.inverse().mat == inverse
+        assert check_stab(a.mat) == a
+        assert _column_fixing_det(a.mat) == det
 
 
 def test_compose_residues_examples(ring3):
