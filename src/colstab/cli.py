@@ -93,6 +93,8 @@ def _load_document(args) -> dict:
         raise ParseError(f"bad JSON document: {exc.msg}", exc.pos)
     except RecursionError:
         raise ParseError("bad JSON document: nested too deeply", 0) from None
+    except ValueError:  # an integer with more digits than int() converts
+        raise ParseError("bad JSON document: number has too many digits", 0) from None
 
 
 def _load_matrix(args) -> Mat:

@@ -212,6 +212,8 @@ def ring_to_document(ring: RingDescriptor) -> dict:
 
 
 def ring_from_document(doc: dict) -> RingDescriptor:
+    """The ring of a document: ``coeff`` defaults to "int", and ``nvars`` must
+    be a JSON integer, not a bool, float or string; ``ShapeError`` otherwise."""
     try:
         mode = _MODES[doc["mode"]]
         coeff = _COEFFS.get(doc.get("coeff", "int"))

@@ -225,7 +225,10 @@ def _dot(row, col, signs=None):
     This is the package's one sparse product; ``a * b`` is ``_dot((a,), (b,))``.
     In-range operands leave each field of a summed key within its width, so
     the exponent range is checked once, on the result: products that cancel
-    never raise.
+    never raise.  When the first product has a monomial factor, the dict
+    starts as the other factor's terms with shifted keys (a copy when that
+    factor is +1), and zero coefficients are filtered only where two
+    products may have met.
     """
     ring = row[0].ring
     origin = ring._origin
@@ -555,12 +558,13 @@ def _divide_c(g: RingElement, k: int) -> RingElement:
     return _element(ring, quotient, g._span)
 
 
-# Shared by all rings; a pass over a benchmark workload's pool divides by 4
-# to 54 distinct divisors (preimage_lift 4, certify_words 6, verify_all 54).
+# A pass over a benchmark workload's pool divides by 4 to 54 distinct
+# divisors (preimage_lift 4, certify_words 6, verify_all 54).
 @functools.lru_cache(maxsize=256)
 def _c_power_factors(d: RingElement) -> tuple | None:
     """The pairs (k, e), e > 0, in increasing k, with d the product of the
-    c_k^e; None when d is zero or no such product."""
+    c_k^e; None when d is zero or no such product.  Kept in one bounded memo
+    shared by all rings, so a repeated divisor is factored once."""
     if d.is_zero:  # zero divides by every c_k, so the loop below would not end
         return None
     factors = []
@@ -749,7 +753,8 @@ def delta_split_linear(beta: RingElement) -> tuple[RingElement, RingElement]:
     """Split beta in the augmentation ideal as beta1*c1 + beta2*c2, beta1 free of variable 2.
 
     The split is made deterministic by specializing variable 2 first; only the
-    reconstruction identity is canonical, not the pair itself.
+    reconstruction identity is canonical, not the pair itself.  Membership
+    is tested first, so every division is exact.
     """
     _require_two_variable(beta)
     if not in_delta(beta, 1):
@@ -766,7 +771,8 @@ def delta_split_quadratic(
     """Split delta in the squared ideal as d11*c1^2 + (d12 + d12p)*c1*c2 + d22*c2^2.
 
     The deterministic rule sets d12p = 0 and reads d11, d12 off the heads of
-    delta along c2, so d11 and d12 are free of variable 2.
+    delta along c2, so d11 and d12 are free of variable 2.  Membership is
+    tested first, so every division is exact.
     """
     _require_two_variable(delta)
     if not in_delta(delta, 2):
@@ -857,11 +863,12 @@ def parse_element(ring: RingDescriptor, text: str) -> RingElement:
 
     Canonical text, the form ``format_element`` prints, is checked by one
     regex and split into terms at its spaces, and each monomial's key comes
-    from a bounded memo that the general parser fills.  All other text, and
-    canonical text that route cannot finish (a monomial the general parser
-    rejects, a zero denominator, a number too long for ``int``), goes to
-    ``_parse_general``, the one authority for the grammar: element, message
-    and position never depend on the route.
+    from a bounded memo that the general parser fills; a monomial text longer
+    than any the printer writes is read the same way but not kept.  All
+    other text, and canonical text that route cannot finish (a monomial the
+    general parser rejects, a zero denominator, a number too long for
+    ``int``), goes to ``_parse_general``, the one authority for the grammar:
+    element, message and position never depend on the route.
     """
     rational = ring.coeff is Coeff.RATIONALS
     canonical = _CANONICAL_RAT if rational else _CANONICAL_INT

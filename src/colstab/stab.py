@@ -568,6 +568,11 @@ def preimage(
     ``mu*c1*c2`` is ``mu(base)*c1*c2`` modulo I; the report then carries mu
     as the obstruction.  mu is decided first, so an obstructed target
     returns before either factor is lifted.
+
+    The lifts have a zero defect and the result is certified by
+    construction, so a nonzero defect, or a result whose ``rho`` is not the
+    input, is a fault of this function: it raises ``RuntimeError``, and is
+    never reported as an obstruction.
     """
     ring = b.ring
     if ring.nvars < 3:
@@ -591,9 +596,6 @@ def preimage(
     # column 2 from column 1.
     w = mu * c1 * c2
     corrected = Mat([[_dot((x, w), (ring.one, y), (1, -1)), y] for x, y in remainder.rows])
-    # Both sources have a zero defect by construction, so a nonzero defect,
-    # like an image other than b below, is a fault of this function: it
-    # raises, and is never reported as an obstruction.
     lift_base, defect = candidate_from_splits(canonical_splits(base))
     lift_corr, defect2 = candidate_from_splits(canonical_splits(corrected))
     if defect or defect2:
@@ -626,12 +628,15 @@ def preimage(
 
 def in_H(a: StabMatrix) -> bool:
     """Membership in the explicit kernel subgroup: the matrix minus identity has
-    first two columns divisible by c3^2 and last column divisible by c3."""
+    first two columns divisible by c3^2 and last column divisible by c3.
+
+    The first two columns read the stabilizer's shared ``_c3_heads``; the
+    third takes its one head only once they pass.
+    """
     one, zero = a.ring.one, a.ring.zero
     # c3^t divides x - [i == j] exactly when the first t heads of x along c3
     # vanish, head 0 on the diagonal being 1 instead: the heads of 1 are
-    # (1, 0).  The first two columns read the shared heads; the third takes
-    # its one head only once they pass.
+    # (1, 0).
     for i, row in enumerate(a._c3_heads):
         for j, (head0, head1) in enumerate(row):
             if head0 != (one if i == j else zero) or head1:

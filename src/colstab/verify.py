@@ -4,7 +4,9 @@ acceptance tests.
 Each suite takes a ring, a trial count and a seed, draws its inputs from one
 seeded stream, and returns one pass/fail tally per property it checks.  All
 comparisons are exact.  Every outcome goes through one ``_Tally``, which counts
-each trial once per check and is the only builder of ``CheckResult``.
+each trial once per check and is the only builder of ``CheckResult``: a check
+that raises after an earlier one passed counts as one failure of its own check
+only.
 """
 
 from __future__ import annotations
@@ -344,7 +346,12 @@ tested count; the time of a suite grows with it."""
 
 
 def run_suite(name, ring, trials, seed):
-    """Run one suite, or every suite in order for ``"all"``."""
+    """Run one suite, or every suite in order for ``"all"``.
+
+    Before any draw, a trial count outside ``1..MAX_TRIALS``, or a ring with
+    fewer variables than the suite draws over (exactly three where it takes
+    ``rho``), raises ``OutOfRangeError`` naming the bound.
+    """
     if trials < 1:
         raise OutOfRangeError(f"trials must be at least 1, got {trials}")
     if trials > MAX_TRIALS:

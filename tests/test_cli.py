@@ -220,6 +220,40 @@ def test_empty_input_flags_do_not_read_stdin(capsys, monkeypatch, flag, code, er
     assert json.loads(out)["error"] == error
 
 
+_LONG_INT = "1" + "0" * 5000  # past the digit limit of Python's int()
+
+
+@pytest.mark.parametrize(
+    "subcommand, doc",
+    [
+        ("check-stab", '{"ring":{"mode":"polynomial","nvars":3},"entries":[[%s]]}'),
+        ("rho", '{"ring":{"mode":"polynomial","nvars":%s},"entries":[["1"]]}'),
+    ],
+    ids=["entries", "nvars"],
+)
+@pytest.mark.parametrize("source", ["--inline", "--input", "stdin"])
+def test_json_integer_past_the_digit_limit_exits_2(
+    capsys, monkeypatch, tmp_path, subcommand, doc, source
+):
+    text = doc % _LONG_INT
+    if source == "--inline":
+        argv = [subcommand, "--inline", text]
+    elif source == "--input":
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        argv = [subcommand, "--input", str(path)]
+    else:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+        argv = [subcommand]
+    exit_code, out, err = run_cli(capsys, *argv)
+    assert exit_code == 2
+    payload = json.loads(out)
+    assert payload["subcommand"] == subcommand
+    assert payload["error"] == "parse"
+    assert payload["message"].startswith("bad JSON document: ")
+    assert "Traceback" not in err
+
+
 def test_help_exits_0(capsys):
     for argv in (["--help"], ["verify", "--help"]):
         with pytest.raises(SystemExit) as exit_:
