@@ -113,6 +113,14 @@ class RingDescriptor:
     __slots__ = ("mode", "nvars", "coeff", "zero", "one", "_c", "_shifts", "_origin")
 
     def __new__(cls, mode: Mode, nvars: int, coeff: Coeff = Coeff.INTEGERS):
+        # Checked before the lookup: 3.0 and True hash as the ints they
+        # equal, and a raw "polynomial" or "int" would build a hybrid ring.
+        if not isinstance(mode, Mode):
+            raise OutOfRangeError(f"mode must be a Mode, not {mode!r}")
+        if not isinstance(coeff, Coeff):
+            raise OutOfRangeError(f"coeff must be a Coeff, not {coeff!r}")
+        if not isinstance(nvars, int) or isinstance(nvars, bool):
+            raise OutOfRangeError(f"nvars must be an int, not {nvars!r}")
         key = (mode, nvars, coeff)
         ring = _INTERNED.get(key)
         if ring is not None:

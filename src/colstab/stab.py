@@ -506,12 +506,35 @@ def matrix_from_splits(splits: CandidateSplits) -> Mat:
 def canonical_splits(m: Mat) -> CandidateSplits:
     """The canonical splits of a scheme matrix, read off its entries: alpha
     is the upper-right entry, beta and gamma are the diagonal minus one, and
-    delta is the lower-left entry."""
+    delta is the lower-left entry.  The general route, for any scheme matrix:
+    each split tests its entry's form and ideal membership, then peels it
+    along c2 with ``delta_split_linear`` and ``delta_split_quadratic``."""
     one = m.ring.one
     beta1, beta2 = delta_split_linear(m[0, 0] - one)
     gamma1, gamma2 = delta_split_linear(m[1, 1] - one)
     d11, d12, d12p, d22 = delta_split_quadratic(m[1, 0])
     return CandidateSplits(m[0, 1], beta1, beta2, gamma1, gamma2, d11, d12, d12p, d22)
+
+
+def _splits_along(m: Mat, k: int) -> CandidateSplits:
+    """The canonical splits of a scheme matrix m whose diagonal minus one
+    lies in (c_k) and whose lower-left entry lies in (c_k^2), for k = 1 or 2,
+    read off that shape: ``beta_k = (m00 - 1)/c_k``,
+    ``gamma_k = (m11 - 1)/c_k``, ``d_kk = m10/c_k^2``, ``alpha = m01`` and
+    every other split zero, each by exact division alone.
+
+    On such a matrix the general route ``canonical_splits`` returns the same
+    splits, and the tests hold the two equal.  The shape is not checked: off
+    it a division raises ``NotDivisibleError``.
+    """
+    ring = m.ring
+    one, zero, c = ring.one, ring.zero, ring.c(k)
+    beta = (m[0, 0] - one).divide_exact(c)
+    gamma = (m[1, 1] - one).divide_exact(c)
+    d = m[1, 0].divide_exact(c).divide_exact(c)
+    if k == 1:
+        return CandidateSplits(m[0, 1], beta, zero, gamma, zero, d, zero, zero, zero)
+    return CandidateSplits(m[0, 1], zero, beta, zero, gamma, zero, zero, zero, d)
 
 
 @dataclass(frozen=True)
@@ -557,22 +580,31 @@ def preimage(
 ) -> PreimageReport:
     """Construct a certified stabilizer mapping onto a scheme matrix.
 
-    Factors the input through its variable-2 specialization, corrects the
-    mixed lower-left coordinate by the transvection ``t21(mu*c1*c2)``, and
-    lifts both factors explicitly.  mu is the mixed coordinate ``d12`` of
-    ``delta_split_quadratic``, so it involves variable 1 only.  The correcting
-    transvection has a tame preimage exactly when mu vanishes at the base
-    point: then c1 divides mu and it is ``S(1,3; mu/c1)``.  Otherwise no tame
-    word maps onto it, since every tame letter
-    maps to a transvection whose lower entry lies in I = (c1^2, c2^2), while
-    ``mu*c1*c2`` is ``mu(base)*c1*c2`` modulo I; the report then carries mu
-    as the obstruction.  mu is decided first, so an obstructed target
-    returns before either factor is lifted.
+    Factors the input as ``b = base * remainder``, base being its variable-2
+    specialization, corrects the remainder's mixed lower-left coordinate by
+    the transvection ``t21(mu*c1*c2)``, and lifts both factors explicitly.
+    Specialization is a ring homomorphism, so base is free of variable 2 and
+    the remainder is the identity modulo c2: head 1 along c2 of its
+    lower-left entry is ``mu*c1``, and mu is read from it by one division by
+    c1.  It is the mixed coordinate ``d12`` of ``delta_split_quadratic``, in
+    variable 1 only.  The correcting transvection has a tame preimage
+    exactly when mu vanishes at the base point: then c1 divides mu and it
+    is ``S(1,3; mu/c1)``.  Otherwise no tame word maps onto it, since every
+    tame letter maps to a transvection whose lower entry lies in
+    I = (c1^2, c2^2), while ``mu*c1*c2`` is ``mu(base)*c1*c2`` modulo I; the
+    report then carries mu as the obstruction.  mu is decided first, so an
+    obstructed target returns before either factor is lifted.
+
+    Each factor's splits are read off its shape by exact division, never by
+    ``canonical_splits``: base has its diagonal minus one in (c1) and its
+    lower-left entry in (c1^2), and the corrected remainder has them in (c2)
+    and (c2^2), the correction cancelling head 1 of that entry.
 
     The lifts have a zero defect and the result is certified by
-    construction, so a nonzero defect, or a result whose ``rho`` is not the
-    input, is a fault of this function: it raises ``RuntimeError``, and is
-    never reported as an obstruction.
+    construction, so an inexact split, mu's division included, a nonzero
+    defect, or a result whose ``rho`` is not the input, is a fault of this
+    function: it raises ``RuntimeError``, and is never reported as an
+    obstruction.
     """
     ring = b.ring
     if ring.nvars < 3:
@@ -586,18 +618,23 @@ def preimage(
     # in it.
     base = b.mat.map(lambda x: x.specialize(2))
     remainder = base.inverse() * b.mat
-    _, mu, _, _ = delta_split_quadratic(remainder[1, 0])
-    if not in_delta(mu, 1):
-        return PreimageReport(
-            status="OBSTRUCTED", stage="transvection-preimage", obstruction=mu
+    try:
+        mu = c_heads(remainder[1, 0], 2, 2)[1].divide_exact(c1)
+        if not in_delta(mu, 1):
+            return PreimageReport(
+                status="OBSTRUCTED", stage="transvection-preimage", obstruction=mu
+            )
+        # The correction t21(-mu*c1*c2) on the right subtracts mu*c1*c2
+        # times column 2 from column 1.
+        w = mu * c1 * c2
+        corrected = Mat(
+            [[_dot((x, w), (ring.one, y), (1, -1)), y] for x, y in remainder.rows]
         )
-
-    # The correction t21(-mu*c1*c2) on the right subtracts mu*c1*c2 times
-    # column 2 from column 1.
-    w = mu * c1 * c2
-    corrected = Mat([[_dot((x, w), (ring.one, y), (1, -1)), y] for x, y in remainder.rows])
-    lift_base, defect = candidate_from_splits(canonical_splits(base))
-    lift_corr, defect2 = candidate_from_splits(canonical_splits(corrected))
+        splits = _splits_along(base, 1), _splits_along(corrected, 2)
+    except NotDivisibleError as exc:
+        raise RuntimeError(f"preimage: an inexact split: {exc}") from exc
+    lift_base, defect = candidate_from_splits(splits[0])
+    lift_corr, defect2 = candidate_from_splits(splits[1])
     if defect or defect2:
         raise RuntimeError(f"preimage: a lift has determinant defect {defect or defect2}")
 

@@ -348,10 +348,15 @@ tested count; the time of a suite grows with it."""
 def run_suite(name, ring, trials, seed):
     """Run one suite, or every suite in order for ``"all"``.
 
-    Before any draw, a trial count outside ``1..MAX_TRIALS``, or a ring with
-    fewer variables than the suite draws over (exactly three where it takes
-    ``rho``), raises ``OutOfRangeError`` naming the bound.
+    Before any draw, a name that is no suite's, a trial count outside
+    ``1..MAX_TRIALS``, or a ring with fewer variables than the suite draws
+    over (exactly three where it takes ``rho``), raises ``OutOfRangeError``
+    naming the valid suites or the bound.
     """
+    if name != "all" and name not in SUITES:
+        raise OutOfRangeError(
+            f"unknown suite {name!r}; the suites are {', '.join([*SUITES, 'all'])}"
+        )
     if trials < 1:
         raise OutOfRangeError(f"trials must be at least 1, got {trials}")
     if trials > MAX_TRIALS:

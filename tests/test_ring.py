@@ -67,6 +67,29 @@ def test_descriptors_are_interned():
         POLY3.nvars = 4
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("polynomial", 3), "mode must be a Mode, not 'polynomial'"),
+        ((Mode.POLYNOMIAL, 3, "int"), "coeff must be a Coeff, not 'int'"),
+        ((Mode.POLYNOMIAL, 3.0), "nvars must be an int, not 3.0"),
+        ((Mode.LAURENT, True), "nvars must be an int, not True"),
+        ((Mode.LAURENT, "3"), "nvars must be an int, not '3'"),
+    ],
+    ids=["raw-mode", "raw-coeff", "float-nvars", "bool-nvars", "str-nvars"],
+)
+def test_descriptor_takes_only_a_mode_an_int_and_a_coeff(args, message):
+    # Each is refused before the intern lookup, where 3.0 and True would find
+    # the rings of 3 and 1 variables and a raw string would build a ring
+    # that acts as one mode or domain and prints as another.
+    RingDescriptor(Mode.POLYNOMIAL, 3)
+    RingDescriptor(Mode.LAURENT, 1)
+    interned = dict(colstab.ring._INTERNED)
+    with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$"):
+        RingDescriptor(*args)
+    assert colstab.ring._INTERNED == interned
+
+
 def test_equality_with_numbers_reads_the_constant_term():
     rat = RingDescriptor(Mode.LAURENT, 3, Coeff.RATIONALS)
     assert (POLY3.one == Fraction(1, 2)) is False

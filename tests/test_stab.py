@@ -54,6 +54,7 @@ from colstab.stab import (
     SearchBudget,
     StabMatrix,
     _column_fixing_det,
+    _splits_along,
     candidate_from_splits,
     canonical_splits,
     matrix_from_splits,
@@ -1397,10 +1398,14 @@ def test_preimage_equals_the_parent_assembly(ring):
 
 def _scheme_matrices(ring):
     """Scheme matrices from two sources: rho images of sampled tame words,
-    and the zero-defect families of the preimage suite."""
+    over three variables and promoted to ring, and the zero-defect families
+    of the preimage suite."""
     seeds = st.integers(0, 2**32 - 1)
+    ring3 = RingDescriptor(ring.mode, 3, ring.coeff)
     images = st.builds(
-        lambda seed, length: rho(_sample(ring, seed, length)).mat, seeds, st.integers(1, 6)
+        lambda seed, length: promote(rho(_sample(ring3, seed, length)).mat, ring),
+        seeds,
+        st.integers(1, 6),
     )
     drawn = seeds.map(lambda seed: _random_scheme_zero_defect(random.Random(seed), ring))
     return st.one_of(images, drawn)
@@ -1426,6 +1431,68 @@ def test_preimage_sources_lie_in_the_scheme_by_closure(ring, data):
     report = preimage(CongruenceMatrix(b))
     assert report.ok
     assert check_stab(report.preimage.mat) == report.preimage
+
+
+@pytest.mark.parametrize(
+    "ring", RINGS3 + [RingDescriptor(Mode.LAURENT, 4, Coeff.RATIONALS)], ids=_ring_id
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_shaped_splits_and_mu_match_the_general_route(ring, data):
+    # preimage reads mu and both factors' splits off their shapes; the
+    # general route, delta_split_quadratic and canonical_splits, is the
+    # oracle for what it reads.
+    b = data.draw(_scheme_matrices(ring))
+    c1, c2 = ring.c(1), ring.c(2)
+    base = b.map(lambda x: x.specialize(2))
+    remainder = base.inverse() * b
+    _, mu, _, _ = delta_split_quadratic(remainder[1, 0])
+    assert c_heads(remainder[1, 0], 2, 2)[1].divide_exact(c1) == mu
+    corrected = remainder * transvection(ring, 2, 2, 1, -mu * c1 * c2)
+    calls = []
+    original = colstab.stab._splits_along
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            colstab.stab,
+            "_splits_along",
+            lambda m, k: calls.append((m, k)) or original(m, k),
+        )
+        assert preimage(CongruenceMatrix(b)).ok
+    assert calls == [(base, 1), (corrected, 2)]
+    assert _splits_along(base, 1) == canonical_splits(base)
+    assert _splits_along(corrected, 2) == canonical_splits(corrected)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=_ring_id)
+def test_successful_preimage_takes_no_general_split(ring, monkeypatch):
+    general = ("canonical_splits", "delta_split_linear", "delta_split_quadratic", "c_adic_decompose")
+    for target in _liftable_targets(ring, 7919, count=3):
+        report, calls = _logged_preimage(monkeypatch, target, general)
+        monkeypatch.undo()
+        assert report.ok
+        assert calls == []
+
+
+@pytest.mark.parametrize("fault", ["split", "mu"])
+def test_an_inexact_split_is_a_fault_and_exits_4(monkeypatch, capsys, fault):
+    # Off its shape a division fails; that is a fault of preimage, never a
+    # domain error of the input (NotDivisibleError, exit 3).
+    if fault == "split":
+        # Each factor split along the other variable.
+        original = colstab.stab._splits_along
+        monkeypatch.setattr(colstab.stab, "_splits_along", lambda m, k: original(m, 3 - k))
+    else:
+        monkeypatch.setattr(colstab.stab, "c_heads", lambda g, k, t: (g.ring.zero, g.ring.c(2)))
+    message = "^preimage: an inexact split: not divisible by c1$"
+    target = cohn_matrix(POLY3)
+    with pytest.raises(RuntimeError, match=message) as err:
+        preimage(CongruenceMatrix(target))
+    assert isinstance(err.value.__cause__, NotDivisibleError)
+    code = main(["preimage", "--inline", json.dumps(mat_to_document(target))])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert payload["error"] == "internal"
+    assert payload["message"] == "RuntimeError: " + message[1:-1]
 
 
 @pytest.mark.parametrize("fault", ["defect", "image", "image-outside-scheme"])

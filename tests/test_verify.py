@@ -241,3 +241,19 @@ def test_trials_from_one_to_the_ceiling_are_run(monkeypatch):
         with pytest.raises(OutOfRangeError):
             colstab.verify.run_suite("stab2", ring, trials, 0)
     assert seen == [1, ceiling]
+
+
+def test_an_unknown_suite_is_a_domain_error_before_any_draw(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a suite ran")
+
+    for name in colstab.verify.SUITES:
+        monkeypatch.setitem(colstab.verify.SUITES, name, forbidden)
+    ring = colstab.RingDescriptor(colstab.Mode.POLYNOMIAL, 3)
+    message = (
+        "unknown suite 'bogus'; the suites are decomposition, stab2, relations, "
+        "homomorphism, determinant, preimage, kernel, triangular, all"
+    )
+    with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$") as err:
+        colstab.verify.run_suite("bogus", ring, 1, 0)
+    assert isinstance(err.value, colstab.ColstabError)
