@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -1018,25 +1019,37 @@ def _parse_general(ring: RingDescriptor, text: str) -> RingElement:
 
 def format_element(g: RingElement) -> str:
     """Canonical text form: terms in descending lexicographic exponent order,
-    each monomial's text taken from a bounded memo."""
+    each monomial's text taken from a bounded memo.
+
+    A coefficient whose integer (numerator or denominator) has more digits
+    than Python converts to text, ``sys.get_int_max_str_digits()``, raises
+    ``OutOfRangeError`` naming that limit; the parser refuses such a number
+    too, so whatever is printed parses back.
+    """
     if g.is_zero:
         return "0"
     ring = g.ring
     terms = g._terms
     out = []
-    for key in sorted(terms, reverse=True):
-        coeff = terms[key]
-        if coeff < 0:
-            out.append(" - ")
-            coeff = -coeff
-        else:
-            out.append(" + ")
-        mono = _monomial_text(ring, key)
-        if not mono:
-            out.append(str(coeff))
-        elif coeff == 1:
-            out.append(mono)
-        else:
-            out.append(f"{coeff}*{mono}")
+    try:
+        for key in sorted(terms, reverse=True):
+            coeff = terms[key]
+            if coeff < 0:
+                out.append(" - ")
+                coeff = -coeff
+            else:
+                out.append(" + ")
+            mono = _monomial_text(ring, key)
+            if not mono:
+                out.append(str(coeff))
+            elif coeff == 1:
+                out.append(mono)
+            else:
+                out.append(f"{coeff}*{mono}")
+    except ValueError:  # an integer with more digits than str() converts
+        raise OutOfRangeError(
+            "a coefficient has more than the "
+            f"{sys.get_int_max_str_digits()} digits an integer may print with"
+        ) from None
     out[0] = "-" if out[0] == " - " else ""
     return "".join(out)

@@ -71,8 +71,9 @@ class StabMatrix:
     ``eval_word``, which starts from the identity and applies each letter as
     a column update (every tame generator is a one-letter word), and for the
     lift in ``preimage``: the product of two lifts, each I + X*Z with a zero
-    determinant defect, with the letter S(1, 3; mu/c1) then applied to its
-    columns as the same column update.
+    determinant defect, the first with the identity as its row 0 and the
+    second with the identity as its row 1, with the letter S(1, 3; mu/c1)
+    then applied to its columns as the same column update.
     """
 
     mat: Mat
@@ -516,25 +517,51 @@ def canonical_splits(m: Mat) -> CandidateSplits:
     return CandidateSplits(m[0, 1], beta1, beta2, gamma1, gamma2, d11, d12, d12p, d22)
 
 
-def _splits_along(m: Mat, k: int) -> CandidateSplits:
-    """The canonical splits of a scheme matrix m whose diagonal minus one
-    lies in (c_k) and whose lower-left entry lies in (c_k^2), for k = 1 or 2,
-    read off that shape: ``beta_k = (m00 - 1)/c_k``,
-    ``gamma_k = (m11 - 1)/c_k``, ``d_kk = m10/c_k^2``, ``alpha = m01`` and
-    every other split zero, each by exact division alone.
+def _shaped_lift(m: Mat, k: int) -> Mat:
+    """The lift ``candidate_from_splits`` builds from the canonical splits of
+    a scheme matrix m whose diagonal minus one lies in (c_k) and whose
+    lower-left entry lies in (c_k^2), for k = 1 or 2, read off that shape.
 
-    On such a matrix the general route ``canonical_splits`` returns the same
-    splits, and the tests hold the two equal.  The shape is not checked: off
-    it a division raises ``NotDivisibleError``.
+    With ``beta = (m00 - 1)/c_k``, ``gamma = (m11 - 1)/c_k``,
+    ``q = m10/c_k``, ``d = q/c_k`` and ``alpha = m01``, the canonical splits
+    are ``beta_k = beta``, ``gamma_k = gamma``, ``d_kk = d`` and alpha, and
+    every other split is zero.  So the lift I + X*Z has an identity row,
+    row 0 for k = 1 and row 1 for k = 2:
+
+        k = 1: [[1, 0, 0],
+                [-(gamma*c2 + d*c3), m11, q],
+                [-(alpha*c2 + beta*c3), alpha*c1, m00]]
+        k = 2: [[m11, d*c3 - gamma*c1, -q],
+                [0, 1, 0],
+                [-alpha*c2, alpha*c1 - beta*c3, m00]]
+
+    Each split is one exact division, and the tests hold the lift equal to
+    that of the general route.  The shape is not checked: off it a division
+    raises ``NotDivisibleError``.
     """
     ring = m.ring
-    one, zero, c = ring.one, ring.zero, ring.c(k)
-    beta = (m[0, 0] - one).divide_exact(c)
-    gamma = (m[1, 1] - one).divide_exact(c)
-    d = m[1, 0].divide_exact(c).divide_exact(c)
+    one, zero = ring.one, ring.zero
+    c1, c2, c3, c = ring.c(1), ring.c(2), ring.c(3), ring.c(k)
+    (m00, alpha), (m10, m11) = m.rows
+    beta = (m00 - one).divide_exact(c)
+    gamma = (m11 - one).divide_exact(c)
+    q = m10.divide_exact(c)
+    d = q.divide_exact(c)
     if k == 1:
-        return CandidateSplits(m[0, 1], beta, zero, gamma, zero, d, zero, zero, zero)
-    return CandidateSplits(m[0, 1], zero, beta, zero, gamma, zero, zero, zero, d)
+        return Mat(
+            [
+                [one, zero, zero],
+                [_dot((gamma, d), (c2, c3), (-1, -1)), m11, q],
+                [_dot((alpha, beta), (c2, c3), (-1, -1)), alpha * c1, m00],
+            ]
+        )
+    return Mat(
+        [
+            [m11, _dot((d, gamma), (c3, c1), (1, -1)), -q],
+            [zero, one, zero],
+            [_dot((alpha,), (c2,), (-1,)), _dot((alpha, beta), (c1, c3), (1, -1)), m00],
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -595,21 +622,30 @@ def preimage(
     report then carries mu as the obstruction.  mu is decided first, so an
     obstructed target returns before either factor is lifted.
 
-    Each factor's splits are read off its shape by exact division, never by
-    ``canonical_splits``: base has its diagonal minus one in (c1) and its
-    lower-left entry in (c1^2), and the corrected remainder has them in (c2)
-    and (c2^2), the correction cancelling head 1 of that entry.
+    Each factor is lifted from its shape by ``_shaped_lift``, never through
+    ``canonical_splits`` or ``candidate_from_splits``: base has its diagonal
+    minus one in (c1) and its lower-left entry in (c1^2), and the corrected
+    remainder has them in (c2) and (c2^2), the correction cancelling head 1
+    of that entry.  So only alpha, ``beta_k``, ``gamma_k`` and ``d_kk`` of
+    the nine splits can be nonzero, with k = 1 for base and k = 2 for the
+    corrected remainder, and the lifts have block shape: base's lift is the
+    identity in row 0, the corrected remainder's in row 1.  Their product
+    shares the second lift's row 0 and takes one fused sum per entry of
+    rows 1 and 2.  The determinant defect of ``candidate_from_splits`` is
+    identically zero on such splits: each of its terms has as a factor a
+    mixed split, ``d12`` or ``d12'``, or a split of the other index, and all
+    of those are zero.  So each lift's determinant is that of its 2x2
+    source, and the defect is never formed.
 
-    The lifts have a zero defect and the result is certified by
-    construction, so an inexact split, mu's division included, a nonzero
-    defect, or a result whose ``rho`` is not the input, is a fault of this
-    function: it raises ``RuntimeError``, and is never reported as an
-    obstruction.
+    The result is certified by construction, so an inexact split, mu's
+    division included, or a result whose ``rho`` is not the input, is a
+    fault of this function: it raises ``RuntimeError``, and is never
+    reported as an obstruction.
     """
     ring = b.ring
     if ring.nvars < 3:
         raise NotInSchemeError("preimage needs a ring with at least three variables")
-    c1, c2 = ring.c(1), ring.c(2)
+    c1, c2, one = ring.c(1), ring.c(2), ring.one
 
     # Every 2x2 matrix below lies in the scheme by closure, so none is
     # re-validated: specialization at variable 2 fixes values at the base
@@ -628,24 +664,34 @@ def preimage(
         # times column 2 from column 1.
         w = mu * c1 * c2
         corrected = Mat(
-            [[_dot((x, w), (ring.one, y), (1, -1)), y] for x, y in remainder.rows]
+            [[_dot((x, w), (one, y), (1, -1)), y] for x, y in remainder.rows]
         )
-        splits = _splits_along(base, 1), _splits_along(corrected, 2)
+        lift_base, lift_corr = _shaped_lift(base, 1), _shaped_lift(corrected, 2)
     except NotDivisibleError as exc:
         raise RuntimeError(f"preimage: an inexact split: {exc}") from exc
-    lift_base, defect = candidate_from_splits(splits[0])
-    lift_corr, defect2 = candidate_from_splits(splits[1])
-    if defect or defect2:
-        raise RuntimeError(f"preimage: a lift has determinant defect {defect or defect2}")
 
     from .tame import Letter, _times_letters  # deferred; tame builds on this module
 
+    # lift_base * lift_corr: row (x0, x1, x2) of lift_base times lift_corr,
+    # whose row 1 is the identity row, is x0*top + x1*e_1 + x2*bottom.
+    top, _, bottom = lift_corr.rows
+    product = Mat(
+        [top]
+        + [
+            [
+                _dot((x0, x2), (top[0], bottom[0])),
+                _dot((x0, x1, x2), (top[1], one, bottom[1])),
+                _dot((x0, x2), (top[2], bottom[2])),
+            ]
+            for x0, x1, x2 in lift_base.rows[1:]
+        ]
+    )
     # Certified by construction: each lift is I + X*Z, which fixes the
-    # column, and det(lift) = det(source) + defect, a unit; so is their
+    # column, with the determinant of its 2x2 source, a unit; so is their
     # product, and the letter keeps both.  mu/c1 is exact: mu involves
     # variable 1 only and vanishes at the base point.
     letter = Letter("S", (1, 3), mu.divide_exact(c1))
-    result = StabMatrix(_times_letters(lift_base * lift_corr, (letter,)))
+    result = StabMatrix(_times_letters(product, (letter,)))
 
     # The guard compares rho's matrix with b and runs no scheme test: a
     # matrix equal to the validated input lies in the scheme.
@@ -653,8 +699,8 @@ def preimage(
     if image != b.mat:
         raise RuntimeError("preimage: rho of the lift differs from the target")
     # det(result) = det(b), with no 3x3 expansion: each lift's determinant is
-    # that of its 2x2 source, as both defects are zero; the correction and
-    # the S letter have determinant 1; and base * remainder = b.
+    # that of its 2x2 source, its defect being identically zero; the
+    # correction and the S letter have determinant 1; and base * remainder = b.
     transcript = {
         "image_matches": True,
         "determinant": format_element(b.mat.det()),
@@ -664,8 +710,13 @@ def preimage(
 
 
 def in_H(a: StabMatrix) -> bool:
-    """Membership in the explicit kernel subgroup: the matrix minus identity has
-    first two columns divisible by c3^2 and last column divisible by c3.
+    """Membership in the explicit subgroup H of ``ker rho``: the matrix minus
+    identity has first two columns divisible by c3^2 and last column
+    divisible by c3.
+
+    H is a proper subgroup of ``ker rho``.  The witness is S(1,2; 1): it maps
+    to the identity, as S(1,2; a) does for every a, but lies in H only when
+    c3^2 divides a.
 
     The first two columns read the stabilizer's shared ``_c3_heads``; the
     third takes its one head only once they pass.

@@ -37,6 +37,13 @@ class NotInStab2Error(ColstabError):
 # word would ask for more time and memory than any host has.
 MAX_WORD_LENGTH = 99
 
+# The largest coefficient bound ``sample_tame`` draws with.  A parameter's
+# coefficient then has at most seven digits, and the entries' coefficients
+# stay far below the 4300 digits an integer prints with by default: a
+# seed-5 word of length ``MAX_WORD_LENGTH`` at this bound has entry
+# coefficients of at most 341 digits (polynomial) and 447 (Laurent).
+MAX_COEFF_BOUND = 1_000_000
+
 # Every index tuple a T and an S letter can carry.
 T_INDICES = ((1, 2, 3), (2, 1, 3), (3, 1, 2))
 S_INDICES = ((1, 2), (1, 3), (2, 3))
@@ -149,24 +156,35 @@ def _apply_letter(ring: RingDescriptor, cols: list, letter: Letter) -> None:
     ``S(i, j; a)`` is the identity plus ``a*u*v^T`` with ``u = (c_i, c_j)``
     and ``v = (c_j, -c_i)`` at rows and columns i, j, so with ``w = a*P*u``
     for the matrix P it adds ``c_j*w`` to column i and subtracts ``c_i*w``
-    from column j.  Every updated entry is one fused sum of products; the
-    unchanged column is shared.  The letter was checked when made.
+    from column j.  Every updated entry is one fused sum of products.  What
+    a letter leaves unchanged is shared, not rebuilt: every column, when the
+    parameter is zero; the unchanged column; and in row r of an updated
+    column, the entry whose update factor is zero, column i's entry for T
+    and w's for S.  The letter was checked when made.
     """
     one, a = ring.one, letter.param
+    if not a:
+        return
     if letter.kind == "T":
         i, j, k = letter.indices
         ack, acj = a * ring.c(k), a * ring.c(j)
         col_i, col_j, col_k = cols[i - 1], cols[j - 1], cols[k - 1]
-        cols[j - 1] = tuple(_dot((x, ack), (one, y)) for x, y in zip(col_j, col_i))
-        cols[k - 1] = tuple(_dot((x, acj), (one, y), (1, -1)) for x, y in zip(col_k, col_i))
+        cols[j - 1] = tuple(
+            _dot((x, ack), (one, y)) if y else x for x, y in zip(col_j, col_i)
+        )
+        cols[k - 1] = tuple(
+            _dot((x, acj), (one, y), (1, -1)) if y else x for x, y in zip(col_k, col_i)
+        )
     else:
         i, j = letter.indices
         ci, cj = ring.c(i), ring.c(j)
         weights = (a * ci, a * cj)
         col_i, col_j = cols[i - 1], cols[j - 1]
         w = [_dot(weights, pair) for pair in zip(col_i, col_j)]
-        cols[i - 1] = tuple(_dot((x, cj), (one, y)) for x, y in zip(col_i, w))
-        cols[j - 1] = tuple(_dot((x, ci), (one, y), (1, -1)) for x, y in zip(col_j, w))
+        cols[i - 1] = tuple(_dot((x, cj), (one, y)) if y else x for x, y in zip(col_i, w))
+        cols[j - 1] = tuple(
+            _dot((x, ci), (one, y), (1, -1)) if y else x for x, y in zip(col_j, w)
+        )
 
 
 def _times_letters(m: Mat, letters) -> Mat:
@@ -212,6 +230,10 @@ def sample_tame(
         raise OutOfRangeError(f"word length must be at most {MAX_WORD_LENGTH}, got {length}")
     if coeff_bound < 0:
         raise OutOfRangeError(f"coefficient bound must be at least 0, got {coeff_bound}")
+    if coeff_bound > MAX_COEFF_BOUND:
+        raise OutOfRangeError(
+            f"coefficient bound must be at most {MAX_COEFF_BOUND}, got {coeff_bound}"
+        )
     rng = random.Random(seed)
     letters = []
     for _ in range(length):

@@ -24,7 +24,7 @@ import colstab.tame
 import colstab.verify
 from colstab.cli import main
 from colstab.ring import MAX_DEPTH, MAX_EXPONENT, MAX_NVARS
-from colstab.tame import MAX_WORD_LENGTH
+from colstab.tame import MAX_COEFF_BOUND, MAX_WORD_LENGTH
 
 from conftest import POLY2, POLY3
 
@@ -315,6 +315,27 @@ def test_tame_sample_rejects_a_length_above_the_ceiling_before_sampling(capsys, 
         "subcommand": "tame-sample",
         "error": "domain",
         "message": f"word length must be at most {MAX_WORD_LENGTH}, got 1000000",
+    }
+
+def test_tame_sample_rejects_a_coefficient_bound_above_the_cap_before_sampling(
+    capsys, monkeypatch
+):
+    # 4000 nines: argparse reads the number, and words drawn with it would
+    # print coefficients past the digit limit of integer-to-text conversion.
+    def forbidden(*args):
+        raise AssertionError("sampled a letter")
+
+    monkeypatch.setattr(colstab.tame, "_random_param", forbidden)
+    bound = "9" * 4000
+    code, out, _ = run_cli(
+        capsys, "tame-sample", "--length", "4", "--seed", "1", "--coeff-bound", bound
+    )
+    payload = json.loads(out)
+    assert code == 3
+    assert payload == {
+        "subcommand": "tame-sample",
+        "error": "domain",
+        "message": f"coefficient bound must be at most {MAX_COEFF_BOUND}, got {bound}",
     }
 
 def test_tame_sample_of_length_zero_is_the_identity(capsys):

@@ -70,6 +70,7 @@ def test_quoted_bounds_are_the_library_constants():
         "MAX_DEPTH",
         "verify.MAX_TRIALS",
         "tame.MAX_WORD_LENGTH",
+        "tame.MAX_COEFF_BOUND",
     }
 
 

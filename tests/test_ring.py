@@ -3,6 +3,7 @@ import copy
 import inspect
 import pickle
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -866,3 +867,26 @@ def test_public_surface_is_the_listed_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("coeff", list(Coeff), ids=["int", "rat"])
+def test_format_element_names_the_digit_limit_and_prints_up_to_it(coeff):
+    # Python converts integers of at most sys.get_int_max_str_digits() digits
+    # to text, 4300 by default; the parser refuses longer numbers, so the
+    # printer refuses them too, with a domain error rather than a bare
+    # ValueError.
+    ring = RingDescriptor(Mode.LAURENT, 3, coeff)
+    limit = sys.get_int_max_str_digits()
+    assert limit
+    message = f"^a coefficient has more than the {limit} digits an integer may print with$"
+    big = 10**limit
+    too_long = [ring.const(big), ring.monomial(-big, [1, -1, 0]) + ring.one]
+    if coeff is Coeff.RATIONALS:
+        too_long.append(ring.const(Fraction(1, big)))
+    for g in too_long:
+        with pytest.raises(OutOfRangeError, match=message):
+            format_element(g)
+        with pytest.raises(OutOfRangeError, match=message):
+            mat_to_document(Mat([[g]]))
+    longest = ring.monomial(-(big - 1), [2, 0, -1])
+    assert parse_element(ring, format_element(longest)) == longest

@@ -54,7 +54,7 @@ from colstab.stab import (
     SearchBudget,
     StabMatrix,
     _column_fixing_det,
-    _splits_along,
+    _shaped_lift,
     candidate_from_splits,
     canonical_splits,
     matrix_from_splits,
@@ -1329,7 +1329,9 @@ def _logged_preimage(monkeypatch, target, names):
 def test_obstructed_preimage_lifts_nothing(ring3, monkeypatch):
     target = CongruenceMatrix(transvection(ring3, 2, 2, 1, ring3.c(1) * ring3.c(2)))
     report, calls = _logged_preimage(
-        monkeypatch, target, ("check_stab", "canonical_splits", "candidate_from_splits")
+        monkeypatch,
+        target,
+        ("check_stab", "canonical_splits", "candidate_from_splits", "_shaped_lift"),
     )
     assert report.status == "OBSTRUCTED" and report.stage == "transvection-preimage"
     assert calls == []
@@ -1450,22 +1452,30 @@ def test_shaped_splits_and_mu_match_the_general_route(ring, data):
     assert c_heads(remainder[1, 0], 2, 2)[1].divide_exact(c1) == mu
     corrected = remainder * transvection(ring, 2, 2, 1, -mu * c1 * c2)
     calls = []
-    original = colstab.stab._splits_along
+    original = colstab.stab._shaped_lift
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
             colstab.stab,
-            "_splits_along",
+            "_shaped_lift",
             lambda m, k: calls.append((m, k)) or original(m, k),
         )
         assert preimage(CongruenceMatrix(b)).ok
     assert calls == [(base, 1), (corrected, 2)]
-    assert _splits_along(base, 1) == canonical_splits(base)
-    assert _splits_along(corrected, 2) == canonical_splits(corrected)
+    for m, k in calls:
+        lift, defect = candidate_from_splits(canonical_splits(m))
+        assert _shaped_lift(m, k) == lift
+        assert defect.is_zero
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=_ring_id)
 def test_successful_preimage_takes_no_general_split(ring, monkeypatch):
-    general = ("canonical_splits", "delta_split_linear", "delta_split_quadratic", "c_adic_decompose")
+    general = (
+        "canonical_splits",
+        "candidate_from_splits",
+        "delta_split_linear",
+        "delta_split_quadratic",
+        "c_adic_decompose",
+    )
     for target in _liftable_targets(ring, 7919, count=3):
         report, calls = _logged_preimage(monkeypatch, target, general)
         monkeypatch.undo()
@@ -1479,8 +1489,8 @@ def test_an_inexact_split_is_a_fault_and_exits_4(monkeypatch, capsys, fault):
     # domain error of the input (NotDivisibleError, exit 3).
     if fault == "split":
         # Each factor split along the other variable.
-        original = colstab.stab._splits_along
-        monkeypatch.setattr(colstab.stab, "_splits_along", lambda m, k: original(m, 3 - k))
+        original = colstab.stab._shaped_lift
+        monkeypatch.setattr(colstab.stab, "_shaped_lift", lambda m, k: original(m, 3 - k))
     else:
         monkeypatch.setattr(colstab.stab, "c_heads", lambda g, k, t: (g.ring.zero, g.ring.c(2)))
     message = "^preimage: an inexact split: not divisible by c1$"
@@ -1495,19 +1505,14 @@ def test_an_inexact_split_is_a_fault_and_exits_4(monkeypatch, capsys, fault):
     assert payload["message"] == "RuntimeError: " + message[1:-1]
 
 
-@pytest.mark.parametrize("fault", ["defect", "image", "image-outside-scheme"])
+@pytest.mark.parametrize("fault", ["lift", "image", "image-outside-scheme"])
 def test_preimage_faults_raise_and_exit_4(monkeypatch, capsys, fault):
-    # A lift with a nonzero determinant defect, or an image other than the
-    # target, in the scheme or not, is a fault of preimage, never an
-    # obstruction or a domain error of the input.
-    if fault == "defect":
-        original = colstab.stab.candidate_from_splits
-
-        def faulty(splits):
-            return original(splits)[0], POLY3.one
-
-        monkeypatch.setattr(colstab.stab, "candidate_from_splits", faulty)
-        message = "^preimage: a lift has determinant defect 1$"
+    # A wrong lift, or an image other than the target, in the scheme or not,
+    # is a fault of preimage, never an obstruction or a domain error of the
+    # input.
+    if fault == "lift":
+        monkeypatch.setattr(colstab.stab, "_shaped_lift", lambda m, k: identity(m.ring, 3))
+        message = "^preimage: rho of the lift differs from the target$"
     else:
         zero = POLY3.zero
         alpha = POLY3.var(3) if fault == "image-outside-scheme" else zero
@@ -1576,6 +1581,18 @@ def test_kernel_examples(ring3):
     assert rho(t).mat == identity(ring3, 2)
 
     assert not in_H(gen_T(ring3, 1, 2, 3, ring3.one))
+
+
+def test_H_is_a_proper_subgroup_of_ker_rho(ring3):
+    # S(1,2; a) maps to the identity for every a, but lies in H only when
+    # c3^2 divides a: S(1,2; 1) is the witness that H is proper.
+    one, c3 = ring3.one, ring3.c(3)
+    for a in (one, ring3.var(1), ring3.var(3), c3):
+        s = gen_S(ring3, 1, 2, a)
+        assert rho(s).mat == identity(ring3, 2)
+        assert not in_H(s)
+    for a in (c3 * c3, ring3.var(1) * c3 * c3):
+        assert in_H(gen_S(ring3, 1, 2, a))
 
 
 def _parent_kernel_member(rng, ring, max_len=4):

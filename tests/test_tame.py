@@ -30,9 +30,15 @@ from colstab import (
     stab2,
     stab2_param,
 )
-from colstab.ring import OutOfRangeError
+from colstab.ring import OutOfRangeError, _dot
 from colstab.stab import CongruenceMatrix
-from colstab.tame import MAX_WORD_LENGTH, S_INDICES, T_INDICES
+from colstab.tame import (
+    MAX_COEFF_BOUND,
+    MAX_WORD_LENGTH,
+    S_INDICES,
+    T_INDICES,
+    _apply_letter,
+)
 
 from conftest import LAUR2, LAUR3, POLY2, POLY3, words
 
@@ -215,6 +221,26 @@ def test_sampler_draws_up_to_the_length_ceiling_and_rejects_longer(ring3, monkey
             sample_tame(ring3, 7, length)
 
 
+def test_sampler_draws_up_to_the_coefficient_cap_and_rejects_larger(ring3, monkeypatch):
+    word = sample_tame(ring3, 7, 6, MAX_COEFF_BOUND)
+    assert len(word) == 6
+    assert all(
+        abs(c) <= MAX_COEFF_BOUND for letter in word.letters for c in letter.param.terms.values()
+    )
+
+    def forbidden(*args):
+        raise AssertionError("sampled a letter")
+
+    # The cap is checked before the first draw.
+    monkeypatch.setattr(colstab.tame, "_random_param", forbidden)
+    for bound in (MAX_COEFF_BOUND + 1, 10**4000 - 1):
+        with pytest.raises(
+            OutOfRangeError,
+            match=f"^coefficient bound must be at most {MAX_COEFF_BOUND}, got [0-9]+$",
+        ):
+            sample_tame(ring3, 7, 4, bound)
+
+
 def test_sampler_is_deterministic(ring3):
     first = sample_tame(ring3, 42, 5)
     second = sample_tame(ring3, 42, 5)
@@ -271,6 +297,83 @@ _WORD_RINGS = [
 def test_eval_word_equals_the_letter_product(ring, data):
     word = data.draw(words(ring))
     assert eval_word(ring, word).mat == _letter_product(ring, word)
+
+
+def _rebuilding_apply_letter(ring, cols, letter):
+    """The oracle: ``_apply_letter`` as it was before it shared what a zero
+    leaves unchanged, rebuilding every entry of an updated column."""
+    one, a = ring.one, letter.param
+    if letter.kind == "T":
+        i, j, k = letter.indices
+        ack, acj = a * ring.c(k), a * ring.c(j)
+        col_i, col_j, col_k = cols[i - 1], cols[j - 1], cols[k - 1]
+        cols[j - 1] = tuple(_dot((x, ack), (one, y)) for x, y in zip(col_j, col_i))
+        cols[k - 1] = tuple(_dot((x, acj), (one, y), (1, -1)) for x, y in zip(col_k, col_i))
+    else:
+        i, j = letter.indices
+        ci, cj = ring.c(i), ring.c(j)
+        weights = (a * ci, a * cj)
+        col_i, col_j = cols[i - 1], cols[j - 1]
+        w = [_dot(weights, pair) for pair in zip(col_i, col_j)]
+        cols[i - 1] = tuple(_dot((x, cj), (one, y)) for x, y in zip(col_i, w))
+        cols[j - 1] = tuple(_dot((x, ci), (one, y), (1, -1)) for x, y in zip(col_j, w))
+
+
+def _unchanged_entries(ring, cols, letter):
+    """The (column, row) places a letter leaves unchanged in the matrix with
+    columns ``cols``, 0-based: every place for a zero parameter; else the
+    untouched column, and the rows of an updated column whose update factor,
+    column i's entry for T and w's for S, is zero."""
+    a = letter.param
+    if not a:
+        return {(col, row) for col in range(3) for row in range(3)}
+    if letter.kind == "T":
+        i, j, k = letter.indices
+        updated = (j - 1, k - 1)
+        zero_rows = [row for row in range(3) if not cols[i - 1][row]]
+    else:
+        i, j = letter.indices
+        updated = (i - 1, j - 1)
+        ci, cj = ring.c(i), ring.c(j)
+        zero_rows = [
+            row for row in range(3) if not a * (ci * cols[i - 1][row] + cj * cols[j - 1][row])
+        ]
+    places = {(col, row) for col in range(3) if col not in updated for row in range(3)}
+    return places | {(col, row) for col in updated for row in zero_rows}
+
+
+def _seeded_words_with_zeros(ring, seed, count=16):
+    """Seeded sampled words, a quarter of whose letters get a zero parameter."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        word = sample_tame(ring, rng.getrandbits(32), rng.randint(0, 8))
+        yield TameWord(
+            tuple(
+                Letter(letter.kind, letter.indices, ring.zero) if rng.random() < 0.25 else letter
+                for letter in word.letters
+            )
+        )
+
+
+_RINGS3 = [RingDescriptor(mode, 3, coeff) for mode in Mode for coeff in Coeff]
+
+
+@pytest.mark.parametrize("ring", _RINGS3, ids=lambda r: f"{r.mode.value}-{r.coeff.value}")
+def test_letter_updates_match_the_rebuilding_oracle_and_share_unchanged_entries(ring):
+    shared = 0
+    for word in _seeded_words_with_zeros(ring, 4242):
+        cols = list(zip(*identity(ring, 3).rows))
+        expected = list(cols)
+        for letter in word.letters:
+            before = list(cols)
+            _apply_letter(ring, cols, letter)
+            _rebuilding_apply_letter(ring, expected, letter)
+            assert cols == expected
+            for col, row in _unchanged_entries(ring, before, letter):
+                assert cols[col][row] is before[col][row]
+                shared += 1
+        assert Mat(zip(*cols)) == eval_word(ring, word).mat
+    assert shared
 
 
 def _raised(build):
