@@ -9,7 +9,6 @@ adjugate is one sum of products, taken by the ring's product kernel ``_dot``.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 
 from .ring import (
     Coeff,
@@ -19,6 +18,7 @@ from .ring import (
     RingDescriptor,
     RingElement,
     _dot,
+    _shown,
     format_element,
     parse_element,
 )
@@ -91,27 +91,16 @@ class Mat:
             [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
         )
 
-    def __neg__(self):
-        return Mat([[-x for x in r] for r in self.rows])
-
     def __mul__(self, other):
-        if isinstance(other, Mat):
-            if self.ncols != other.nrows:
-                raise ShapeError(
-                    f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
-                )
-            cols = list(zip(*other.rows))
-            return Mat(
-                [[_dot(row, col) for col in cols] for row in self.rows]
+        """The matrix product; a scalar multiple is ``scale``."""
+        if not isinstance(other, Mat):
+            return NotImplemented
+        if self.ncols != other.nrows:
+            raise ShapeError(
+                f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        if isinstance(other, (RingElement, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (RingElement, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        cols = list(zip(*other.rows))
+        return Mat([[_dot(row, col) for col in cols] for row in self.rows])
 
     def scale(self, factor) -> Mat:
         return Mat([[x * factor for x in r] for r in self.rows])
@@ -145,19 +134,24 @@ class Mat:
         When the determinant is one the adjugate itself is returned, unscaled.
         """
         adj = self.adjugate()
-        d = _dot([r[0] for r in self.rows], adj.rows[0])
-        if d == self.ring.one:
-            return adj
-        witness = d.unit_inverse()
-        if witness is None:
-            raise NotAUnitError(d)
-        return adj.scale(witness)
+        return _over_unit(adj, _dot([r[0] for r in self.rows], adj.rows[0]))
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(x) for x in r) for r in self.rows) + "]"
 
     def __repr__(self):
         return f"Mat({self!s})"
+
+
+def _over_unit(adj: Mat, det: RingElement) -> Mat:
+    """An adjugate divided by its determinant: adj itself, unscaled, when det
+    is one, and ``NotAUnitError`` when det is not a unit."""
+    if det == det.ring.one:
+        return adj
+    witness = det.unit_inverse()
+    if witness is None:
+        raise NotAUnitError(det)
+    return adj.scale(witness)
 
 
 def _det(rows, sign=1):
@@ -190,7 +184,7 @@ def transvection(ring: RingDescriptor, n: int, i: int, j: int, a: RingElement) -
     if i == j:
         raise OutOfRangeError("transvection indices must differ")
     if not (1 <= i <= n and 1 <= j <= n):
-        raise ShapeError(f"entry ({i}, {j}) outside a {n}x{n} matrix")
+        raise ShapeError(f"entry ({_shown(i)}, {_shown(j)}) outside a {n}x{n} matrix")
     rows = [[ring.one if r == s else ring.zero for s in range(n)] for r in range(n)]
     rows[i - 1][j - 1] = ring.zero + a
     return Mat(rows)
@@ -221,7 +215,7 @@ def ring_from_document(doc: dict) -> RingDescriptor:
     except (KeyError, TypeError) as exc:
         raise ShapeError(f"bad ring document: {exc}") from exc
     if coeff is None:
-        raise ShapeError(f"bad coefficient domain {doc.get('coeff')!r}")
+        raise ShapeError(f"bad coefficient domain {_shown(doc.get('coeff'), repr)}")
     if not isinstance(nvars, int) or isinstance(nvars, bool):
         raise ShapeError(f"'nvars' must be an integer, got {nvars!r}")
     return RingDescriptor(mode, nvars, coeff)

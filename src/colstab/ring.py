@@ -79,7 +79,7 @@ class ExponentRangeError(ColstabError):
 
     def __init__(self, magnitude: int):
         super().__init__(
-            f"exponent of magnitude {magnitude} exceeds the limit {MAX_EXPONENT}"
+            f"exponent of magnitude {_shown(magnitude)} exceeds the limit {MAX_EXPONENT}"
         )
 
 
@@ -88,6 +88,27 @@ class OutOfRangeError(ColstabError, ValueError):
     variable index, coefficient or exponent vector outside the ring's range,
     a letter that is no generator's, or a word longer than
     ``tame.MAX_WORD_LENGTH``."""
+
+
+def _shown(value, form=str) -> str:
+    """``form(value)``, the text of a rejected value in an error message.
+
+    An integer with more digits than Python converts to text,
+    ``sys.get_int_max_str_digits()``, is named by its digit count instead,
+    in a tuple too, and any other value that will not convert by its type:
+    building the message never raises."""
+    try:
+        return form(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        if isinstance(value, int):
+            n, digits = abs(value), max(1, int(value.bit_length() * 0.30103) - 1)
+            while n >= 10**digits:
+                digits += 1
+            return f"<an integer of {digits} digits>"
+        if isinstance(value, tuple):
+            inner = ", ".join(_shown(x, repr) for x in value)
+            return f"({inner},)" if len(value) == 1 else f"({inner})"
+        return f"<a {type(value).__name__} too long to print>"
 
 
 class Mode(Enum):
@@ -117,11 +138,11 @@ class RingDescriptor:
         # Checked before the lookup: 3.0 and True hash as the ints they
         # equal, and a raw "polynomial" or "int" would build a hybrid ring.
         if not isinstance(mode, Mode):
-            raise OutOfRangeError(f"mode must be a Mode, not {mode!r}")
+            raise OutOfRangeError(f"mode must be a Mode, not {_shown(mode, repr)}")
         if not isinstance(coeff, Coeff):
-            raise OutOfRangeError(f"coeff must be a Coeff, not {coeff!r}")
+            raise OutOfRangeError(f"coeff must be a Coeff, not {_shown(coeff, repr)}")
         if not isinstance(nvars, int) or isinstance(nvars, bool):
-            raise OutOfRangeError(f"nvars must be an int, not {nvars!r}")
+            raise OutOfRangeError(f"nvars must be an int, not {_shown(nvars, repr)}")
         key = (mode, nvars, coeff)
         ring = _INTERNED.get(key)
         if ring is not None:
@@ -187,7 +208,7 @@ class RingDescriptor:
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.nvars:
-            raise OutOfRangeError(f"variable index {i} outside 1..{self.nvars}")
+            raise OutOfRangeError(f"variable index {_shown(i)} outside 1..{self.nvars}")
 
     # -- packed monomial keys ---------------------------------------------------
 
@@ -297,7 +318,9 @@ class RingElement:
     __slots__ = ("ring", "_terms", "_span", "_hash")
 
     def __init__(self, ring: RingDescriptor, terms):
-        """The element with ``terms``, a map from exponent tuples to coefficients."""
+        """The element with ``terms``, a map from exponent tuples to coefficients.
+
+        Distinct exponent tuples pack to distinct keys, so no two terms merge."""
         packed = {}
         span = 0
         for exps, coeff in dict(terms).items():
@@ -305,11 +328,7 @@ class RingElement:
             coeff = _coerce_coeff(ring, coeff)
             if coeff:
                 span = max(span, magnitude)
-                coeff += packed.get(key, 0)
-                if coeff:
-                    packed[key] = coeff
-                else:
-                    del packed[key]
+                packed[key] = coeff
         self.ring = ring
         self._terms = packed
         self._span = span
@@ -519,10 +538,10 @@ def _coerce_coeff(ring: RingDescriptor, value):
             return int(value)
         if isinstance(value, int):
             return int(value)  # a bool is kept as the int it equals
-        raise OutOfRangeError(f"bad coefficient {value!r}")
+        raise OutOfRangeError(f"bad coefficient {_shown(value, repr)}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    raise OutOfRangeError(f"bad coefficient {value!r}")
+    raise OutOfRangeError(f"bad coefficient {_shown(value, repr)}")
 
 
 def _divide_c(g: RingElement, k: int) -> RingElement:
@@ -599,10 +618,6 @@ class CAdicDecomposition:
     k: int
     heads: tuple
     tail: RingElement
-
-    @property
-    def depth(self) -> int:
-        return len(self.heads)
 
     def reconstruct(self) -> RingElement:
         ring = self.tail.ring

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .matrix import Mat, NotAUnitError, ShapeError, identity, mat_to_document
+from .matrix import Mat, NotAUnitError, ShapeError, _over_unit, identity, mat_to_document
 from .ring import (
     ColstabError,
     NotDivisibleError,
@@ -102,30 +102,13 @@ class StabMatrix:
         return StabMatrix(self.mat * other.mat)
 
     def inverse(self) -> "StabMatrix":
-        """The inverse, from ``b = a - I``, which annihilates the column.
-
-        Relies on ``a*c = c`` and re-certifies nothing.  ``b*adj(b) = det(b)*I
-        = 0``, so the columns of ``adj(b)`` lie in the kernel of b, spanned by
-        c: ``adj(b) = c*w^T``, with w over the ring as the c_k are pairwise
-        coprime.  Its last row, the cofactors of b's third column, gives
-        ``w_j = C_j3/c3``; those are the three 2x2 minors of b's first two
-        columns.  With ``t = 1 + tr b``, ``adj(a) = c*w^T + t*I - b`` and
-        ``det(a) = t + c.w``, as ``det(b) = 0`` and ``tr adj(b) = c.w``.  So
-        six products of two entries make the inverse, where ``Mat.inverse``
-        takes nine 2x2 minors and three more products for the determinant.
-        """
+        """The inverse, ``adj(a)/det(a)``, from ``b = a - I`` and the w and
+        det of ``_rank_one_adjugate``: ``adj(a) = c*w^T + t*I - b`` with
+        ``t = 1 + tr b``.  Relies on ``a*c = c`` and re-certifies nothing."""
         one = self.ring.one
         c = column(self.ring)
-        (a11, a12, _), (a21, a22, _), (a31, a32, a33) = rows = self.mat.rows
-        b11, b22 = a11 - one, a22 - one
-        w = [
-            cofactor.divide_exact(c[2])
-            for cofactor in (
-                _dot((a21, b22), (a32, a31), (1, -1)),
-                _dot((a12, b11), (a31, a32), (1, -1)),
-                _dot((b11, a12), (b22, a21), (1, -1)),
-            )
-        ]
+        w, det = _rank_one_adjugate(self.mat)
+        (a11, _, _), (_, a22, _), (_, _, a33) = rows = self.mat.rows
         # Entry (i, i) of t*I - b is 1 + b_jj + b_kk = a_jj + a_kk - 1, over
         # the other two indices j and k; entry (i, j) off it is -a_ij.
         others = ((a22, a33), (a11, a33), (a11, a22))
@@ -140,18 +123,7 @@ class StabMatrix:
                 for i, (ci, row) in enumerate(zip(c, rows))
             ]
         )
-        # det(a) = t + c.w, with t = 1 + tr b = a11 + a22 + a33 - 2.
-        det = _dot(
-            (*c, a11, a22, a33, one, one),
-            (*w, one, one, one, one, one),
-            (1, 1, 1, 1, 1, 1, -1, -1),
-        )
-        if det == one:
-            return StabMatrix(adj)
-        witness = det.unit_inverse()
-        if witness is None:
-            raise NotAUnitError(det)
-        return StabMatrix(adj.scale(witness))
+        return StabMatrix(_over_unit(adj, det))
 
     def __str__(self):
         return str(self.mat)
@@ -161,7 +133,7 @@ def check_stab(m: Mat) -> StabMatrix:
     """Certify membership in the stabilizer group, or raise with a witness.
 
     The determinant is taken only once the column test passes, by
-    ``_column_fixing_det``, which relies on it.
+    ``_rank_one_adjugate``, which relies on it.
     """
     if m.nrows != 3 or m.ncols != 3:
         raise ShapeError(f"a stabilizer is 3x3, not {m.nrows}x{m.ncols}")
@@ -169,28 +141,46 @@ def check_stab(m: Mat) -> StabMatrix:
     image = m.apply_column(col)
     if image != col:
         raise NotStabilizingError([img - c for img, c in zip(image, col)])
-    det = _column_fixing_det(m)
+    _, det = _rank_one_adjugate(m)
     if not det.is_unit():
         raise NotAUnitError(det)
     return StabMatrix(m)
 
 
-def _column_fixing_det(m: Mat) -> RingElement:
-    """The determinant of a 3x3 matrix that fixes the column; relies on that.
+def _rank_one_adjugate(m: Mat) -> tuple[list, RingElement]:
+    """The row w with ``adj(m - I) = c*w^T``, and ``det(m)``, for a 3x3
+    matrix m that fixes the column c; relies on that and checks nothing.
 
-    ``b = m - I`` annihilates the column, so ``det(b) = 0`` and
-    ``det(m) = 1 + tr b + s2(b)``, with ``s2(b)`` the sum of b's three
-    principal 2x2 minors: six products of two entries, where ``Mat.det``
-    takes nine.
+    ``b = m - I`` annihilates c, so ``det(b) = 0`` and ``b*adj(b) =
+    det(b)*I = 0``: the columns of ``adj(b)`` lie in the kernel of b, which
+    c spans whenever b has rank two, and ``adj(b) = 0`` otherwise.  So
+    ``adj(b) = c*w^T``, with w over the ring as the c_k are pairwise coprime.
+    Its last row, the cofactors of b's third column, gives ``w_j = C_j3/c3``:
+    the three 2x2 minors of b's first two columns, six products of two
+    entries, each divided exactly by c3.  Then ``det(m) = 1 + tr b + s2(b)
+    + det(b)``, where ``s2(b) = tr adj(b) = c.w`` and ``det(b) = 0``.
+    ``Mat.det`` and ``Mat.inverse`` are the general routes, and the tests'
+    oracles.
     """
     one = m.ring.one
-    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = m.rows
-    b11, b22, b33 = a11 - one, a22 - one, a33 - one
-    return _dot(
-        (one, b11, b22, b33, b11, a12, b11, a13, b22, a23),
-        (one, one, one, one, b22, a21, b33, a31, b33, a32),
-        (1, 1, 1, 1, 1, -1, 1, -1, 1, -1),
+    c = column(m.ring)
+    (a11, a12, _), (a21, a22, _), (a31, a32, a33) = m.rows
+    b11, b22 = a11 - one, a22 - one
+    w = [
+        cofactor.divide_exact(c[2])
+        for cofactor in (
+            _dot((a21, b22), (a32, a31), (1, -1)),
+            _dot((a12, b11), (a31, a32), (1, -1)),
+            _dot((b11, a12), (b22, a21), (1, -1)),
+        )
+    ]
+    # 1 + tr b = a11 + a22 + a33 - 2.
+    det = _dot(
+        (*c, a11, a22, a33, one, one),
+        (*w, one, one, one, one, one),
+        (1, 1, 1, 1, 1, 1, -1, -1),
     )
+    return w, det
 
 
 def reduce(a: StabMatrix) -> Mat:

@@ -20,6 +20,7 @@ from .ring import (
     Mode,
     OutOfRangeError,
     RingDescriptor,
+    _shown,
     c_adic_decompose,
     delta_split_linear,
     format_element,
@@ -355,12 +356,13 @@ def run_suite(name, ring, trials, seed):
     """
     if name != "all" and name not in SUITES:
         raise OutOfRangeError(
-            f"unknown suite {name!r}; the suites are {', '.join([*SUITES, 'all'])}"
+            f"unknown suite {_shown(name, repr)}; "
+            f"the suites are {', '.join([*SUITES, 'all'])}"
         )
     if trials < 1:
-        raise OutOfRangeError(f"trials must be at least 1, got {trials}")
+        raise OutOfRangeError(f"trials must be at least 1, got {_shown(trials)}")
     if trials > MAX_TRIALS:
-        raise OutOfRangeError(f"trials must be at most {MAX_TRIALS}, got {trials}")
+        raise OutOfRangeError(f"trials must be at most {MAX_TRIALS}, got {_shown(trials)}")
     if name in _THREE_VARIABLE_SUITES and ring.nvars != 3:
         raise OutOfRangeError(
             f"suite {name!r} needs a three-variable ring, got {ring.nvars} variables: "

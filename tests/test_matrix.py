@@ -202,6 +202,29 @@ def test_shape_errors():
         identity(POLY3, 2) * identity(POLY3, 3)
     with pytest.raises(ShapeError):
         Mat([[POLY3.one, LAUR3.one]])
+    with pytest.raises(ShapeError, match="^addition needs equal shapes$"):
+        identity(POLY3, 2) + identity(POLY3, 3)
+    with pytest.raises(ShapeError, match="^column length mismatch$"):
+        identity(POLY3, 2).apply_column([POLY3.one])
+    row = Mat([[POLY3.one, POLY3.zero]])
+    with pytest.raises(ShapeError, match="^determinant needs a square matrix$"):
+        row.det()
+    with pytest.raises(ShapeError, match="^adjugate needs a square matrix$"):
+        row.adjugate()
+
+
+def test_a_matrix_meets_only_matrices_and_scale_multiplies(ring3):
+    # A scalar multiple is m.scale(x); m * x, x * m and -m are type errors,
+    # whatever the scalar.
+    m = transvection(ring3, 2, 1, 2, ring3.c(1))
+    assert m.scale(2) == m + m and m.scale(-1) == zeros(ring3, 2, 2) - m
+    assert (m == 1) is False and m != "m"
+    for x in (2, ring3.one, None):
+        for make in (lambda: m * x, lambda: x * m, lambda: m + x, lambda: x - m):
+            with pytest.raises(TypeError):
+                make()
+    with pytest.raises(TypeError):
+        -m
 
 
 def test_matrices_are_immutable_dict_keys(ring3):

@@ -1,6 +1,7 @@
 import ast
 import copy
 import inspect
+import operator
 import pickle
 import re
 import sys
@@ -25,6 +26,7 @@ from colstab import (
     ParseError,
     RingDescriptor,
     RingElement,
+    ShapeError,
     c_adic_decompose,
     cohn_matrix,
     delta_split_linear,
@@ -35,9 +37,11 @@ from colstab import (
     mat_from_document,
     mat_to_document,
     parse_element,
+    sample_tame,
     transvection,
 )
 
+from colstab.matrix import ring_from_document
 from colstab.ring import (
     _BIAS,
     MAX_EXPONENT,
@@ -45,9 +49,11 @@ from colstab.ring import (
     _c_power_factors,
     _element,
     _require_two_variable,
+    _shown,
     _two_variable,
     c_heads,
 )
+from colstab.verify import SUITES, run_suite
 from conftest import LAUR2, LAUR3, POLY2, POLY3, at_base_point, elements
 
 
@@ -168,6 +174,10 @@ def test_bool_coefficients_are_stored_as_numbers(coeff):
     "make, message",
     [
         (lambda: POLY3.const(1.5), "bad coefficient 1.5"),
+        (
+            lambda: RingDescriptor(Mode.POLYNOMIAL, 3, Coeff.RATIONALS).const(1.5),
+            "bad coefficient 1.5",
+        ),
         (lambda: POLY3.monomial(1, (0, -1, 0)), "negative exponent in polynomial mode"),
         (lambda: POLY3.monomial(1, (0, 1)), "exponent vector has wrong length"),
         (
@@ -175,7 +185,10 @@ def test_bool_coefficients_are_stored_as_numbers(coeff):
             "fractional coefficient in an integer ring",
         ),
     ],
-    ids=["float-coefficient", "negative-exponent", "short-exponents", "fraction-parameter"],
+    ids=[
+        "float-coefficient", "float-rational-coefficient", "negative-exponent",
+        "short-exponents", "fraction-parameter",
+    ],
 )
 def test_coefficients_and_exponents_outside_the_ring_are_domain_errors(make, message):
     # Both a ColstabError, for library callers, and a ValueError, as before.
@@ -200,10 +213,13 @@ def test_coefficients_and_exponents_outside_the_ring_are_domain_errors(make, mes
             lambda: cohn_matrix(RingDescriptor(Mode.POLYNOMIAL, 1)),
             "the Cohn matrix needs at least two variables",
         ),
+        (lambda: c_heads(POLY3.one, 3, 0), "depth must lie in 1..64"),
+        (lambda: c_heads(LAUR3.one, 3, 65), "depth must lie in 1..64"),
     ],
     ids=[
         "negative-power", "third-ideal-power", "equal-transvection-indices",
         "letter-kind", "letter-indices", "laurent-cohn", "one-variable-cohn",
+        "zero-depth-heads", "deep-heads",
     ],
 )
 def test_arguments_outside_an_operations_range_are_domain_errors(make, message):
@@ -291,6 +307,34 @@ def test_negative_laurent_exponents_past_the_limit_raise():
 def test_descriptor_mismatch_raises():
     with pytest.raises(DescriptorMismatchError):
         POLY3.var(1) + LAUR3.var(1)
+
+
+def test_promotion_keeps_mode_and_coefficients_and_every_variable():
+    assert POLY2.parse("a1*a2 + 2").promote(POLY3) == POLY3.parse("a1*a2 + 2")
+    for ring in (LAUR3, RingDescriptor(Mode.POLYNOMIAL, 3, Coeff.RATIONALS)):
+        with pytest.raises(DescriptorMismatchError, match="^promotion must preserve"):
+            POLY2.var(1).promote(ring)
+    with pytest.raises(DescriptorMismatchError, match="^promotion cannot drop variables$"):
+        POLY3.var(1).promote(POLY2)
+
+
+@pytest.mark.parametrize("other", [None, 1.5, "a1"], ids=repr)
+def test_arithmetic_with_a_non_number_is_a_type_error(other):
+    # int and Fraction operands are constants of the ring; nothing else is.
+    g = LAUR3.parse("a1 - 2")
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(g, other)
+        with pytest.raises(TypeError):
+            op(other, g)
+    assert (g == other) is False and g != other
+
+
+def test_an_integral_fraction_is_an_integer_coefficient():
+    for g in (POLY3.const(Fraction(6, 3)), RingElement(POLY3, {(1, 0, 0): Fraction(-4, 2)})):
+        assert all(type(c) is int for c in g.terms.values())
+    assert POLY3.const(Fraction(6, 3)) == POLY3.const(2)
+    assert format_element(RingElement(POLY3, {(1, 0, 0): Fraction(-4, 2)})) == "-2*a1"
 
 
 @pytest.mark.parametrize("ring", [POLY3, LAUR3], ids=["polynomial", "laurent"])
@@ -890,3 +934,84 @@ def test_format_element_names_the_digit_limit_and_prints_up_to_it(coeff):
             mat_to_document(Mat([[g]]))
     longest = ring.monomial(-(big - 1), [2, 0, -1])
     assert parse_element(ring, format_element(longest)) == longest
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda big: POLY3.c(big), OutOfRangeError, "variable index {} outside 1..3"),
+        (
+            lambda big: sample_tame(POLY3, 0, big),
+            OutOfRangeError,
+            "word length must be at most 99, got {}",
+        ),
+        (
+            lambda big: sample_tame(POLY3, 0, 1, big),
+            OutOfRangeError,
+            "coefficient bound must be at most 1000000, got {}",
+        ),
+        (
+            lambda big: run_suite("all", POLY3, big, 0),
+            OutOfRangeError,
+            "trials must be at most 10000, got {}",
+        ),
+        (lambda big: Letter(big, (1, 2), POLY3.one), OutOfRangeError, "unknown letter kind {}"),
+        (
+            lambda big: Letter("S", (1, big), POLY3.one),
+            OutOfRangeError,
+            "S letter indices must be one of ((1, 2), (1, 3), (2, 3)), not (1, {})",
+        ),
+        (
+            lambda big: transvection(POLY3, 3, big, 1, POLY3.one),
+            ShapeError,
+            "entry ({}, 1) outside a 3x3 matrix",
+        ),
+        (lambda big: RingDescriptor(big, 3), OutOfRangeError, "mode must be a Mode, not {}"),
+        (
+            lambda big: RingDescriptor(Mode.LAURENT, 3, big),
+            OutOfRangeError,
+            "coeff must be a Coeff, not {}",
+        ),
+        (lambda big: POLY3.const((big,)), OutOfRangeError, "bad coefficient ({},)"),
+        (
+            lambda big: POLY3.monomial(1, (0, big, 0)),
+            ExponentRangeError,
+            f"exponent of magnitude {{}} exceeds the limit {MAX_EXPONENT}",
+        ),
+        (
+            lambda big: ring_from_document({"mode": "laurent", "nvars": 3, "coeff": big}),
+            ShapeError,
+            "bad coefficient domain {}",
+        ),
+        (
+            lambda big: run_suite(big, POLY3, 1, 0),
+            OutOfRangeError,
+            f"unknown suite {{}}; the suites are {', '.join([*SUITES, 'all'])}",
+        ),
+    ],
+    ids=[
+        "variable-index", "word-length", "coefficient-bound", "trials", "letter-kind",
+        "letter-indices", "transvection-entry", "mode", "coeff", "coefficient-tuple",
+        "exponent", "document-coeff", "suite",
+    ],
+)
+def test_a_rejected_integer_too_long_to_print_is_named_by_its_digit_count(
+    make, error, message
+):
+    # Past sys.get_int_max_str_digits() digits, str and repr of an int raise a
+    # bare ValueError; the message names the integer's digit count instead.
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(error) as err:
+        make(10**limit)
+    assert str(err.value) == message.format(f"<an integer of {limit + 1} digits>")
+
+
+def test_the_digit_count_of_a_long_integer_is_exact():
+    limit = sys.get_int_max_str_digits()
+    for digits in range(limit + 1, limit + 100):
+        for n in (10 ** (digits - 1), 10**digits - 1, -(10**digits - 1)):
+            assert _shown(n) == f"<an integer of {digits} digits>"
+    assert _shown(10**limit - 1) == "9" * limit
+    # Any other value that will not print is named by its type.
+    assert _shown([10**limit], repr) == "<a list too long to print>"
+

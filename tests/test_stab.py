@@ -53,7 +53,7 @@ from colstab.stab import (
     ResidueQuadruple,
     SearchBudget,
     StabMatrix,
-    _column_fixing_det,
+    _rank_one_adjugate,
     _shaped_lift,
     candidate_from_splits,
     canonical_splits,
@@ -907,7 +907,7 @@ def _assert_the_general_routes_agree(a):
     assert inverse.mat == a.mat.inverse()
     assert (a * inverse).mat == identity(a.ring, 3)
     det = a.mat.det()
-    assert _column_fixing_det(a.mat) == det
+    assert _rank_one_adjugate(a.mat)[1] == det
     assert det.is_unit() and check_stab(a.mat) == a
 
 
@@ -963,7 +963,7 @@ def test_check_stab_reports_the_determinant_of_a_column_fixing_non_unit(ring, da
     cand, defect = candidate_from_splits(CandidateSplits(*coords))
     assume(defect)
     det = cand.det()
-    assert _column_fixing_det(cand) == det
+    assert _rank_one_adjugate(cand)[1] == det
     if det.is_unit():
         check_stab(cand)
     else:
@@ -990,7 +990,35 @@ def test_stab_inverse_and_certificate_take_no_general_route(ring, monkeypatch):
     for a, (inverse, det) in zip(samples, expected):
         assert a.inverse().mat == inverse
         assert check_stab(a.mat) == a
-        assert _column_fixing_det(a.mat) == det
+        assert _rank_one_adjugate(a.mat)[1] == det
+
+
+@pytest.mark.parametrize("ring", RINGS3, ids=_ring_id)
+def test_stab_inverse_of_an_uncertified_non_unit_raises_with_its_determinant(ring):
+    # The matrix fixes the column, with determinant 1 + 2*c1, a unit in no
+    # ring; only check_stab certifies, and a bare StabMatrix is not checked.
+    one, zero, c1, c3 = ring.one, ring.zero, ring.c(1), ring.c(3)
+    m = Mat([[one, zero, zero], [zero, one, zero], [-2 * c3, zero, 1 + 2 * c1]])
+    assert m.apply_column(column(ring)) == column(ring)
+    for certify in (lambda: StabMatrix(m).inverse(), lambda: check_stab(m)):
+        with pytest.raises(NotAUnitError) as err:
+            certify()
+        assert err.value.det == m.det() == 1 + 2 * c1
+
+
+def test_reprs_show_the_canonical_text():
+    ring = RingDescriptor(Mode.LAURENT, 3)
+    assert repr(ring) == "RingDescriptor(mode=Mode.LAURENT, nvars=3, coeff=Coeff.INTEGERS)"
+    assert repr(ring.c(1)) == "RingElement('a1 - 1')"
+    a = gen_S(RingDescriptor(Mode.POLYNOMIAL, 3), 1, 2, 1)
+    assert repr(a.mat) == f"Mat({a})"
+    assert str(a) == "[a1*a2 + 1, -a1^2, 0; a2^2, -a1*a2 + 1, 0; 0, 0, 1]"
+
+
+def test_preimage_needs_three_variables():
+    ring = RingDescriptor(Mode.POLYNOMIAL, 2)
+    with pytest.raises(NotInSchemeError, match="^preimage needs a ring with at least three"):
+        preimage(CongruenceMatrix(identity(ring, 2)))
 
 
 def test_compose_residues_examples(ring3):

@@ -40,7 +40,7 @@ from colstab.tame import (
     _apply_letter,
 )
 
-from conftest import LAUR2, LAUR3, POLY2, POLY3, words
+from conftest import LAUR2, LAUR3, POLY2, POLY3, elements, words
 
 
 def _random_element(rng, ring, max_terms=2, bound=3):
@@ -184,6 +184,31 @@ def test_stab2_rejects_non_stabilizing(ring2):
     with pytest.raises(NotInStab2Error) as err:
         stab2_param(Mat([[ring2.one, ring2.one], [ring2.zero, ring2.one]]))
     assert err.value.witness is not None
+
+
+def test_stab2_param_needs_a_2x2_matrix(ring2):
+    with pytest.raises(NotInStab2Error, match="^input must be a 2x2 matrix$"):
+        stab2_param(identity(ring2, 3))
+
+
+@pytest.mark.parametrize("ring", [POLY2, LAUR2], ids=["polynomial", "laurent"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_column_fixing_determinant_one_matrix_is_in_the_family(ring, data):
+    # stab2_param checks only the column and the determinant: the rows of
+    # m - I are r1*(c2, -c1) and r2*(c2, -c1), and det(m) = 1 exactly when
+    # (r1, r2) = a*(c1, c2).  About half the draws are off that line.
+    c1, c2 = ring.c(1), ring.c(2)
+    a = data.draw(elements(ring, max_terms=3, max_deg=2))
+    r1, r2 = a * c1, a * c2
+    if data.draw(st.booleans()):
+        r1 = r1 + data.draw(elements(ring, max_terms=2, max_deg=1))
+    m = Mat([[1 + r1 * c2, -r1 * c1], [r2 * c2, 1 - r2 * c1]])
+    if m.det() == ring.one:
+        assert stab2(stab2_param(m)) == m
+    else:
+        with pytest.raises(NotInStab2Error, match="^determinant is not 1$"):
+            stab2_param(m)
 
 
 def test_stab2_group_isomorphism_random(ring2):
