@@ -1,13 +1,9 @@
 """Command-line front end over the colstab library.
 
 Machine-readable JSON goes to standard output; a short human summary goes to
-standard error.  Exit codes: 0 success or verified, 1 property violation or
-obstructed preimage, 2 parse error (a malformed document or expression, input
-that is not UTF-8, or a command line the argument parser rejects), 3 domain
-error (any other library error, or an unreadable input file), 4 internal
-error (any other exception, a fault of this program).  Every exit code but 0
-and 1 comes with ``{"subcommand", "error", "message"}`` on standard output,
-``error`` being "parse", "domain", "io" or "internal".
+standard error.  The exit codes are the ``EXIT_*`` constants, and ``_ERRORS``
+maps each error to its code and JSON ``error`` field; README's "Command line"
+section tabulates both.
 """
 
 from __future__ import annotations
@@ -16,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import fields
 
 from .localize import format_over_c3
 from .matrix import (
@@ -127,12 +124,7 @@ def cmd_residues(args) -> tuple[int, dict]:
     a = check_stab(_load_matrix(args))
     q = residues_closed_form(a)
     _note(f"residues {q}")
-    return EXIT_OK, {
-        "alpha": format_element(q.alpha),
-        "beta": format_element(q.beta),
-        "gamma": format_element(q.gamma),
-        "delta": format_element(q.delta),
-    }
+    return EXIT_OK, {f.name: format_element(getattr(q, f.name)) for f in fields(q)}
 
 
 def cmd_rho(args) -> tuple[int, dict]:
@@ -171,10 +163,11 @@ def cmd_preimage(args) -> tuple[int, dict]:
         m = promote(m, RingDescriptor(m.ring.mode, 3, m.ring.coeff))
     report = preimage(CongruenceMatrix(m))
     if report.ok:
-        _note("preimage constructed and verified")
-        return EXIT_OK, report.to_document()
-    _note(f"obstructed at stage {report.stage}")
-    return EXIT_VIOLATION, report.to_document()
+        code, summary = EXIT_OK, "preimage constructed and verified"
+    else:
+        code, summary = EXIT_VIOLATION, f"obstructed at stage {report.stage}"
+    _note(summary)
+    return code, report.to_document()
 
 
 def cmd_tame_sample(args) -> tuple[int, dict]:
@@ -198,26 +191,16 @@ def cmd_verify(args) -> tuple[int, dict]:
     for mode in modes:
         ring = RingDescriptor(mode, args.nvars, coeff)
         results = run_suite(args.suite, ring, args.trials, args.seed)
-        for result in results:
-            _note(
-                f"{mode.value}/{result.name}: {result.passed} passed, "
-                f"{result.failed} failed"
-            )
+        for r in results:
+            _note(f"{mode.value}/{r.name}: {r.passed} passed, {r.failed} failed")
         all_ok = all_ok and all(r.ok for r in results)
-        blocks.append(
-            {
-                "ring": ring_to_document(ring),
-                "results": [
-                    {
-                        "check": r.name,
-                        "passed": r.passed,
-                        "failed": r.failed,
-                        "detail": r.detail,
-                    }
-                    for r in results
-                ],
-            }
-        )
+        blocks.append({
+            "ring": ring_to_document(ring),
+            "results": [
+                {"check": r.name, "passed": r.passed, "failed": r.failed, "detail": r.detail}
+                for r in results
+            ],
+        })
     return EXIT_OK if all_ok else EXIT_VIOLATION, {
         "suite": args.suite,
         "trials": args.trials,
@@ -244,18 +227,50 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_ring_flags(parser):
-    parser.add_argument(
-        "--mode", choices=["polynomial", "laurent"], default="polynomial"
+# The --input/--inline pair, always one mutually exclusive group.
+_INPUT = (
+    ("--input", {"help": "path to a JSON matrix document"}),
+    ("--inline", {"help": "JSON matrix document as a string"}),
+)
+
+
+def _ring_flags(both=False):
+    """--mode, --nvars and --coeff; with ``both``, --mode also takes "both",
+    its default."""
+    modes = ["polynomial", "laurent", *(["both"] if both else [])]
+    return (
+        ("--mode", {"choices": modes, "default": "both" if both else "polynomial"}),
+        ("--nvars", {"type": int, "default": 3}),
+        ("--coeff", {"choices": ["int", "rat"], "default": "int"}),
     )
-    parser.add_argument("--nvars", type=int, default=3)
-    parser.add_argument("--coeff", choices=["int", "rat"], default="int")
 
 
-def _add_input_flags(parser):
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--input", help="path to a JSON matrix document")
-    group.add_argument("--inline", help="JSON matrix document as a string")
+# Each subcommand as (name, help, handler, flags), in the order --help lists them.
+_COMMANDS = (
+    ("check-stab", "certify a 3x3 column stabilizer", cmd_check_stab, _INPUT),
+    ("residues", "residue quadruple of a stabilizer", cmd_residues, _INPUT),
+    ("rho", "congruence image of a stabilizer", cmd_rho, _INPUT),
+    ("reduce", "localized 2x2 block of a stabilizer", cmd_reduce, _INPUT),
+    ("decompose", "split an expression along powers of c_k", cmd_decompose, (
+        *_ring_flags(),
+        ("--expr", {"required": True}),
+        ("--var", {"type": int, "default": 3}),
+        ("--depth", {"type": int, "default": 2}),
+    )),
+    ("preimage", "lift a 2x2 scheme matrix to a stabilizer", cmd_preimage, _INPUT),
+    ("tame-sample", "sample a word in the tame generators", cmd_tame_sample, (
+        *_ring_flags(),
+        ("--seed", {"type": int, "default": 0}),
+        ("--length", {"type": int, "default": 5}),
+        ("--coeff-bound", {"type": int, "default": 2}),
+    )),
+    ("verify", "run a randomized verification suite", cmd_verify, (
+        ("--suite", {"choices": sorted(SUITES) + ["all"], "default": "all"}),
+        ("--trials", {"type": int, "default": 50}),
+        ("--seed", {"type": int, "default": 0}),
+        *_ring_flags(both=True),
+    )),
+)
 
 
 @functools.cache
@@ -269,56 +284,25 @@ def build_parser() -> argparse.ArgumentParser:
         "Laurent polynomial rings",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("check-stab", help="certify a 3x3 column stabilizer")
-    _add_input_flags(p)
-    p.set_defaults(handler=cmd_check_stab)
-
-    p = sub.add_parser("residues", help="residue quadruple of a stabilizer")
-    _add_input_flags(p)
-    p.set_defaults(handler=cmd_residues)
-
-    p = sub.add_parser("rho", help="congruence image of a stabilizer")
-    _add_input_flags(p)
-    p.set_defaults(handler=cmd_rho)
-
-    p = sub.add_parser("reduce", help="localized 2x2 block of a stabilizer")
-    _add_input_flags(p)
-    p.set_defaults(handler=cmd_reduce)
-
-    p = sub.add_parser("decompose", help="split an expression along powers of c_k")
-    _add_ring_flags(p)
-    p.add_argument("--expr", required=True)
-    p.add_argument("--var", type=int, default=3)
-    p.add_argument("--depth", type=int, default=2)
-    p.set_defaults(handler=cmd_decompose)
-
-    p = sub.add_parser("preimage", help="lift a 2x2 scheme matrix to a stabilizer")
-    _add_input_flags(p)
-    p.set_defaults(handler=cmd_preimage)
-
-    p = sub.add_parser("tame-sample", help="sample a word in the tame generators")
-    _add_ring_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--length", type=int, default=5)
-    p.add_argument("--coeff-bound", type=int, default=2)
-    p.set_defaults(handler=cmd_tame_sample)
-
-    p = sub.add_parser("verify", help="run a randomized verification suite")
-    p.add_argument(
-        "--suite", choices=sorted(SUITES) + ["all"], default="all"
-    )
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--mode", choices=["polynomial", "laurent", "both"], default="both"
-    )
-    p.add_argument("--nvars", type=int, default=3)
-    p.add_argument("--coeff", choices=["int", "rat"], default="int")
-    p.set_defaults(handler=cmd_verify)
-
+    for name, text, handler, flags in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        target = p.add_mutually_exclusive_group() if flags is _INPUT else p
+        for flag, options in flags:
+            target.add_argument(flag, **options)
     parser.subcommands = frozenset(sub.choices)
     return parser
+
+
+# An error a handler raises, as (type, exit code, JSON ``error``, summary,
+# message); the first row whose type matches answers.
+_ERRORS = (
+    (ParseError, EXIT_PARSE, "parse", "parse error", str),
+    (ColstabError, EXIT_DOMAIN, "domain", "domain error", str),
+    (OSError, EXIT_DOMAIN, "io", "input error", str),
+    (Exception, EXIT_INTERNAL, "internal", "internal error",
+     lambda exc: f"{type(exc).__name__}: {exc}"),
+)
 
 
 def main(argv=None) -> int:
@@ -335,19 +319,13 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         code, doc = args.handler(args)
-    except ParseError as exc:
-        code, doc = EXIT_PARSE, {"error": "parse", "message": str(exc)}
-        _note(f"parse error: {exc}")
-    except ColstabError as exc:
-        code, doc = EXIT_DOMAIN, {"error": "domain", "message": str(exc)}
-        _note(f"domain error: {exc}")
-    except OSError as exc:
-        code, doc = EXIT_DOMAIN, {"error": "io", "message": str(exc)}
-        _note(f"input error: {exc}")
     except Exception as exc:
-        message = f"{type(exc).__name__}: {exc}"
-        code, doc = EXIT_INTERNAL, {"error": "internal", "message": message}
-        _note(f"internal error: {message}")
+        _, code, error, summary, form = next(
+            row for row in _ERRORS if isinstance(exc, row[0])
+        )
+        message = form(exc)
+        doc = {"error": error, "message": message}
+        _note(f"{summary}: {message}")
     _emit(args.subcommand, doc)
     return code
 

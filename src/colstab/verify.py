@@ -325,20 +325,20 @@ SUITES = {
 }
 
 
-# The suites that take rho of stabilizers drawn over every variable of the
-# ring, and "all", which runs them.
-_THREE_VARIABLE_SUITES = ("homomorphism", "triangular", "all")
-
-# The fewest variables each other suite draws over: two for the
-# two-variable draws, three where it builds the column (c1, c2, c3).
-_MIN_NVARS = {
-    "decomposition": 2,
-    "stab2": 2,
-    "relations": 3,
-    "determinant": 3,
-    "preimage": 3,
-    "kernel": 3,
+# The variables each suite draws over, as (fewest, exact): two for the
+# two-variable draws, three where it builds the column (c1, c2, c3), and
+# exactly three where it takes rho of stabilizers drawn over every variable.
+_NVARS = {
+    "decomposition": (2, False),
+    "stab2": (2, False),
+    "relations": (3, False),
+    "homomorphism": (3, True),
+    "determinant": (3, False),
+    "preimage": (3, False),
+    "kernel": (3, False),
+    "triangular": (3, True),
 }
+_NVARS["all"] = (max(f for f, _ in _NVARS.values()), any(e for _, e in _NVARS.values()))
 
 
 MAX_TRIALS = 10_000
@@ -354,7 +354,7 @@ def run_suite(name, ring, trials, seed):
     over (exactly three where it takes ``rho``), raises ``OutOfRangeError``
     naming the valid suites or the bound.
     """
-    if name != "all" and name not in SUITES:
+    if not isinstance(name, str) or name not in _NVARS:
         raise OutOfRangeError(
             f"unknown suite {_shown(name, repr)}; "
             f"the suites are {', '.join([*SUITES, 'all'])}"
@@ -363,16 +363,16 @@ def run_suite(name, ring, trials, seed):
         raise OutOfRangeError(f"trials must be at least 1, got {_shown(trials)}")
     if trials > MAX_TRIALS:
         raise OutOfRangeError(f"trials must be at most {MAX_TRIALS}, got {_shown(trials)}")
-    if name in _THREE_VARIABLE_SUITES and ring.nvars != 3:
+    fewest, exact = _NVARS[name]
+    if exact and ring.nvars != fewest:
         raise OutOfRangeError(
             f"suite {name!r} needs a three-variable ring, got {ring.nvars} variables: "
             "rho takes stabilizers of (c1, c2, c3) over a1, a2, a3 to the "
             "two-variable congruence scheme"
         )
-    least = _MIN_NVARS.get(name, 1)
-    if ring.nvars < least:
+    if ring.nvars < fewest:
         raise OutOfRangeError(
-            f"suite {name!r} needs a ring with at least {least} variables, "
+            f"suite {name!r} needs a ring with at least {fewest} variables, "
             f"got {ring.nvars}"
         )
     if name == "all":

@@ -201,12 +201,21 @@ def test_malformed_command_lines_exit_with_json(
     path.write_bytes(_NON_UTF8)
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(_NON_UTF8)))
     argv = [str(path) if arg == _NON_UTF8_FILE else arg for arg in argv]
-    exit_code, out, _ = run_cli(capsys, *argv)
+    exit_code, out, err = run_cli(capsys, *argv)
     assert exit_code == code
     payload = json.loads(out)
     assert payload["subcommand"] == subcommand
     assert payload["error"] == ("parse" if code == 2 else "domain")
     assert set(payload) == {"subcommand", "error", "message"}
+    # One summary line on stderr: the handler's errors name their kind, and a
+    # command line argparse rejects points at --help.
+    message = payload["message"]
+    if code == 3:
+        assert err == f"[colstab] domain error: {message}\n"
+    elif message.startswith(("input is not UTF-8", "bad JSON document")):
+        assert err == f"[colstab] parse error: {message}\n"
+    else:
+        assert err == f"[colstab] usage error: {message}; see colstab --help\n"
 
 
 @pytest.mark.parametrize(
@@ -215,9 +224,12 @@ def test_malformed_command_lines_exit_with_json(
 def test_empty_input_flags_do_not_read_stdin(capsys, monkeypatch, flag, code, error):
     stdin = _identity_document([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
-    exit_code, out, _ = run_cli(capsys, "check-stab", flag, "")
+    exit_code, out, err = run_cli(capsys, "check-stab", flag, "")
     assert exit_code == code
-    assert json.loads(out)["error"] == error
+    payload = json.loads(out)
+    assert payload["error"] == error
+    summary = {"parse": "parse error", "io": "input error"}[error]
+    assert err == f"[colstab] {summary}: {payload['message']}\n"
 
 
 _LONG_INT = "1" + "0" * 5000  # past the digit limit of Python's int()
@@ -470,12 +482,14 @@ def _identity_in_ring_of(nvars, n=3):
     ],
 )
 def test_out_of_range_ring_arguments_exit_3_with_json(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     payload = json.loads(out)
     assert code == 3
     assert payload["subcommand"] == argv[0]
     assert payload["error"] == "domain"
     assert set(payload) == {"subcommand", "error", "message"}
+    # The error's summary is the only line: no success note comes before it.
+    assert err == f"[colstab] domain error: {payload['message']}\n"
 
 @pytest.mark.parametrize(
     "error",
@@ -505,7 +519,7 @@ def test_internal_error_exits_4_with_json(capsys, monkeypatch):
         "error": "internal",
         "message": "RuntimeError: boom",
     }
-    assert "Traceback" not in err
+    assert err == "[colstab] internal error: RuntimeError: boom\n"
 
 
 def test_decompose_at_the_depth_limit(capsys):
@@ -725,3 +739,81 @@ def test_an_extreme_integer_option_ends_within_seconds(argv, option, value):
     doc = json.loads(proc.stdout)
     assert doc["subcommand"] == argv[0]
     assert ("error" in doc) == (proc.returncode != 0)
+
+
+# The parser's structure, option by option: (strings, default, choices, type,
+# required, help) per subcommand, in declaration order.  Help *text* differs
+# between Python versions, so it is pinned through this table, not a golden.
+_INPUT = [
+    (["--input"], None, None, None, False, "path to a JSON matrix document"),
+    (["--inline"], None, None, None, False, "JSON matrix document as a string"),
+]
+_RING = [
+    (["--mode"], "polynomial", ["polynomial", "laurent"], None, False, None),
+    (["--nvars"], 3, None, int, False, None),
+    (["--coeff"], "int", ["int", "rat"], None, False, None),
+]
+_SUBCOMMANDS = {
+    "check-stab": ("certify a 3x3 column stabilizer", _INPUT),
+    "residues": ("residue quadruple of a stabilizer", _INPUT),
+    "rho": ("congruence image of a stabilizer", _INPUT),
+    "reduce": ("localized 2x2 block of a stabilizer", _INPUT),
+    "decompose": (
+        "split an expression along powers of c_k",
+        _RING
+        + [
+            (["--expr"], None, None, None, True, None),
+            (["--var"], 3, None, int, False, None),
+            (["--depth"], 2, None, int, False, None),
+        ],
+    ),
+    "preimage": ("lift a 2x2 scheme matrix to a stabilizer", _INPUT),
+    "tame-sample": (
+        "sample a word in the tame generators",
+        _RING
+        + [
+            (["--seed"], 0, None, int, False, None),
+            (["--length"], 5, None, int, False, None),
+            (["--coeff-bound"], 2, None, int, False, None),
+        ],
+    ),
+    "verify": (
+        "run a randomized verification suite",
+        [
+            (
+                ["--suite"],
+                "all",
+                ["decomposition", "determinant", "homomorphism", "kernel",
+                 "preimage", "relations", "stab2", "triangular", "all"],
+                None,
+                False,
+                None,
+            ),
+            (["--trials"], 50, None, int, False, None),
+            (["--seed"], 0, None, int, False, None),
+            (["--mode"], "both", ["polynomial", "laurent", "both"], None, False, None),
+            (["--nvars"], 3, None, int, False, None),
+            (["--coeff"], "int", ["int", "rat"], None, False, None),
+        ],
+    ),
+}
+
+
+def test_parser_structure_is_the_pinned_table():
+    (sub,) = colstab.cli.build_parser()._subparsers._group_actions
+    listed = {action.dest: action.help for action in sub._choices_actions}
+    assert list(listed.items()) == [(name, h) for name, (h, _) in _SUBCOMMANDS.items()]
+    assert list(sub.choices) == list(_SUBCOMMANDS)
+    for name, (_, options) in _SUBCOMMANDS.items():
+        parser = sub.choices[name]
+        actions = [a for a in parser._actions if a.dest != "help"]
+        found = [
+            (a.option_strings, a.default, a.choices, a.type, a.required, a.help)
+            for a in actions
+        ]
+        assert found == options, name
+        groups = [
+            [a.option_strings for a in group._group_actions]
+            for group in parser._mutually_exclusive_groups
+        ]
+        assert groups == ([[["--input"], ["--inline"]]] if options is _INPUT else []), name

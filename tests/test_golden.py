@@ -1,4 +1,5 @@
-"""Golden CLI outputs: every subcommand's stdout and exit code, byte for byte.
+"""Golden CLI outputs: every subcommand's stdout, stderr and exit code, byte
+for byte.
 
 The files under ``tests/golden/`` pin the observable behaviour of the CLI.
 A change to the library that alters any of them changes what users see; such
@@ -85,10 +86,10 @@ CASES = {
 
 
 def run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _exit_codes():
@@ -97,8 +98,9 @@ def _exit_codes():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
-    code, out = run(CASES[name])
+    code, out, err = run(CASES[name])
     assert out == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
+    assert err == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
     assert code == _exit_codes()[name]
 
 
@@ -111,8 +113,9 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
     for name, argv in sorted(CASES.items()):
-        codes[name], out = run(argv)
+        codes[name], out, err = run(argv)
         (GOLDEN / f"{name}.stdout").write_text(out, encoding="utf-8")
+        (GOLDEN / f"{name}.stderr").write_text(err, encoding="utf-8")
     (GOLDEN / "exit_codes.json").write_text(
         json.dumps(codes, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )

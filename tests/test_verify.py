@@ -250,10 +250,17 @@ def test_an_unknown_suite_is_a_domain_error_before_any_draw(monkeypatch):
     for name in colstab.verify.SUITES:
         monkeypatch.setitem(colstab.verify.SUITES, name, forbidden)
     ring = colstab.RingDescriptor(colstab.Mode.POLYNOMIAL, 3)
-    message = (
-        "unknown suite 'bogus'; the suites are decomposition, stab2, relations, "
-        "homomorphism, determinant, preimage, kernel, triangular, all"
-    )
-    with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$") as err:
-        colstab.verify.run_suite("bogus", ring, 1, 0)
-    assert isinstance(err.value, colstab.ColstabError)
+    # A list is unhashable: it is refused by its type before any lookup.
+    for name, shown in [("bogus", "'bogus'"), (["kernel"], "['kernel']")]:
+        message = (
+            f"unknown suite {shown}; the suites are decomposition, stab2, relations, "
+            "homomorphism, determinant, preimage, kernel, triangular, all"
+        )
+        with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$") as err:
+            colstab.verify.run_suite(name, ring, 1, 0)
+        assert isinstance(err.value, colstab.ColstabError)
+
+
+def test_every_suite_and_all_state_the_variables_they_draw_over():
+    assert list(colstab.verify._NVARS) == [*colstab.verify.SUITES, "all"]
+    assert colstab.verify._NVARS["all"] == (3, True)
