@@ -206,19 +206,25 @@ def ring_to_document(ring: RingDescriptor) -> dict:
 
 
 def ring_from_document(doc: dict) -> RingDescriptor:
-    """The ring of a document: ``coeff`` defaults to "int", and ``nvars`` must
-    be a JSON integer, not a bool, float or string; ``ShapeError`` otherwise."""
-    try:
-        mode = _MODES[doc["mode"]]
-        coeff = _COEFFS.get(doc.get("coeff", "int"))
-        nvars = doc["nvars"]
-    except (KeyError, TypeError) as exc:
-        raise ShapeError(f"bad ring document: {exc}") from exc
-    if coeff is None:
-        raise ShapeError(f"bad coefficient domain {_shown(doc.get('coeff'), repr)}")
+    """The ring of a document, an object with ``mode``, "polynomial" or
+    "laurent"; ``nvars``, a JSON integer, not a bool, float or string; and
+    ``coeff``, "int" or "rat", "int" by default.  Otherwise ``ShapeError``
+    naming the field that is missing or wrong."""
+    if not isinstance(doc, dict):
+        raise ShapeError(f"a ring document is an object, not {_shown(doc, repr)}")
+    if "mode" not in doc:
+        raise ShapeError("ring document needs 'mode', 'polynomial' or 'laurent'")
+    if "nvars" not in doc:
+        raise ShapeError("ring document needs 'nvars', an integer")
+    mode, coeff, nvars = doc["mode"], doc.get("coeff", "int"), doc["nvars"]
+    # A JSON value that is no string, a list included, names no mode or domain.
+    if not isinstance(mode, str) or mode not in _MODES:
+        raise ShapeError(f"'mode' must be 'polynomial' or 'laurent', got {_shown(mode, repr)}")
+    if not isinstance(coeff, str) or coeff not in _COEFFS:
+        raise ShapeError(f"bad coefficient domain {_shown(coeff, repr)}")
     if not isinstance(nvars, int) or isinstance(nvars, bool):
-        raise ShapeError(f"'nvars' must be an integer, got {nvars!r}")
-    return RingDescriptor(mode, nvars, coeff)
+        raise ShapeError(f"'nvars' must be an integer, got {_shown(nvars, repr)}")
+    return RingDescriptor(_MODES[mode], nvars, _COEFFS[coeff])
 
 
 def mat_to_document(m: Mat) -> dict:

@@ -213,17 +213,25 @@ class RingDescriptor:
     # -- packed monomial keys ---------------------------------------------------
 
     def _pack(self, exps) -> tuple[int, int]:
-        """Key of a validated exponent vector and its largest exponent magnitude."""
-        exps = tuple(exps)
-        if len(exps) != self.nvars:
-            raise OutOfRangeError("exponent vector has wrong length")
-        low, high = min(exps), max(exps)
-        if low < 0 and self.mode is Mode.POLYNOMIAL:
-            raise OutOfRangeError("negative exponent in polynomial mode")
-        magnitude = max(high, -low)
-        if magnitude > MAX_EXPONENT:
-            raise ExponentRangeError(magnitude)
-        return self._origin + sum(map(lshift, exps, self._shifts)), magnitude
+        """Key of a validated exponent vector and its largest exponent
+        magnitude.  A vector that is not a sequence of integers fails one of
+        the steps below with a ``TypeError``, which is raised again as
+        ``OutOfRangeError``: no exponent is checked for its type."""
+        try:
+            vector = tuple(exps)
+            if len(vector) != self.nvars:
+                raise OutOfRangeError("exponent vector has wrong length")
+            low, high = min(vector), max(vector)
+            if low < 0 and self.mode is Mode.POLYNOMIAL:
+                raise OutOfRangeError("negative exponent in polynomial mode")
+            magnitude = max(high, -low)
+            if magnitude > MAX_EXPONENT:
+                raise ExponentRangeError(magnitude)
+            return self._origin + sum(map(lshift, vector, self._shifts)), magnitude
+        except TypeError:
+            raise OutOfRangeError(
+                f"exponent vector must be a sequence of integers, not {_shown(exps, repr)}"
+            ) from None
 
     def _unpack(self, key: int) -> tuple:
         return tuple(((key >> s) & _FIELD_MASK) - _BIAS for s in self._shifts)

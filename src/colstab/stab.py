@@ -84,11 +84,16 @@ class StabMatrix:
 
     @cached_property
     def _c3_heads(self) -> tuple:
-        """Heads 0 and 1 along c3 of the entries of the first two columns, by
-        row: entry (i, j) is ``c_heads(mat[i, j], 3, 2)``.  Taken once, when
-        first read; ``_closed_form`` and ``in_H`` share them, and ``residues``
-        never reads them."""
-        return tuple(tuple(c_heads(x, 3, 2) for x in row[:2]) for row in self.mat.rows)
+        """The heads along c3 of the entries of the first two columns, by
+        row: entry (i, j) is ``c_heads(mat[i, j], 3, t)``, to depth t = 2 in
+        rows 1 and 2 and t = 3 in row 3, the deepest any reader goes.  Taken
+        once, when first read, and shared by four readers:
+        ``_closed_form_residues`` (so ``rho`` and ``residues_closed_form``)
+        and ``in_H`` read heads 0 and 1 of each entry, and ``residues`` reads
+        them all."""
+        return tuple(
+            tuple(c_heads(x, 3, t) for x in row[:2]) for row, t in zip(self.mat.rows, (2, 2, 3))
+        )
 
     @cached_property
     def _closed_form(self) -> "ResidueQuadruple":
@@ -300,18 +305,19 @@ def residues(a: StabMatrix) -> ResidueQuadruple:
     the heads of ``x*c3`` are those of x shifted up by one, so numerator
     entry (i, j), ``a[i, j]*c3 - c_{i+1}*a[3, j]``, has heads 0, 1 and 2
     ``-c_{i+1}*h0(a[3, j])``, ``h0(a[i, j]) - c_{i+1}*h1(a[3, j])`` and
-    ``h1(a[i, j]) - c_{i+1}*h2(a[3, j])``.  So it takes heads 0 and 1 of the
-    first two rows and heads 0 to 2 of the third, in the first two columns,
-    each afresh, and reads neither the shared heads nor the kept closed
-    form: an independent route to the residues that ``rho`` takes from
-    ``residues_closed_form``.  The verification suites cross-check the two.
+    ``h1(a[i, j]) - c_{i+1}*h2(a[3, j])``.  So it reads heads 0 and 1 of the
+    first two rows and heads 0 to 2 of the third, in the first two columns:
+    the stabilizer's shared ``_c3_heads``, the same heads the closed form
+    reads, taken once.  It never reads the kept closed form, and shares no
+    formula with it: an independent route to the residues that ``rho``
+    takes from ``residues_closed_form``.  The verification suites
+    cross-check the two.
     """
     ring = a.ring
     c1, c2, one = ring.c(1), ring.c(2), ring.one
     u, v = (c1, c2), (c2, -c1)
     block = annihilator_block(ring).rows
-    top, middle, bottom = a.mat.rows
-    bottom_heads = [c_heads(x, 3, 3) for x in bottom[:2]]
+    top, middle, bottom = a._c3_heads
     heads = [
         [
             (
@@ -319,7 +325,7 @@ def residues(a: StabMatrix) -> ResidueQuadruple:
                 _dot((h0, c), (one, l1), (1, -1)),
                 _dot((h1, c), (one, l2), (1, -1)),
             )
-            for (h0, h1), (l0, l1, l2) in zip((c_heads(x, 3, 2) for x in row[:2]), bottom_heads)
+            for (h0, h1), (l0, l1, l2) in zip(row, bottom)
         ]
         for c, row in ((c1, top), (c2, middle))
     ]
@@ -342,18 +348,19 @@ def residues_closed_form(a: StabMatrix) -> ResidueQuadruple:
 def _closed_form_residues(a: StabMatrix) -> ResidueQuadruple:
     """The body of ``residues_closed_form``.
 
-    The heads are the stabilizer's shared ``_c3_heads``, taken of the
-    entries themselves: ``c_heads`` is linear and the heads of 1 are (1, 0),
-    so on the diagonal only head 0 differs, by one, and gamma's sum takes
-    that one off.  gamma and beta are one fused sum each, and delta is two
-    nested ones.
+    The heads are heads 0 and 1 of the stabilizer's shared ``_c3_heads``,
+    taken of the entries themselves, so ``residues`` reads them too; head 2
+    of row 3 is that route's alone.  ``c_heads`` is linear and the heads of
+    1 are (1, 0), so on the diagonal only head 0 differs, by one, and
+    gamma's sum takes that one off.  gamma and beta are one fused sum each,
+    and delta is two nested ones.
     """
     ring = a.ring
     c1, c2, one = ring.c(1), ring.c(2), ring.one
     (
         ((a11_0, a11_1), (_, a12_1)),
         ((a21_0, a21_1), (_, a22_1)),
-        ((a31_0, a31_1), (a32_0, a32_1)),
+        ((a31_0, a31_1, _), (a32_0, a32_1, _)),
     ) = a._c3_heads
     try:
         alpha = (-a31_0).divide_exact(c2)
@@ -708,15 +715,16 @@ def in_H(a: StabMatrix) -> bool:
     to the identity, as S(1,2; a) does for every a, but lies in H only when
     c3^2 divides a.
 
-    The first two columns read the stabilizer's shared ``_c3_heads``; the
-    third takes its one head only once they pass.
+    The first two columns read heads 0 and 1 of the stabilizer's shared
+    ``_c3_heads``, which the residue routes read too; the third column takes
+    its one head per entry, only once they pass, and keeps none.
     """
     one, zero = a.ring.one, a.ring.zero
     # c3^t divides x - [i == j] exactly when the first t heads of x along c3
     # vanish, head 0 on the diagonal being 1 instead: the heads of 1 are
     # (1, 0).
     for i, row in enumerate(a._c3_heads):
-        for j, (head0, head1) in enumerate(row):
+        for j, (head0, head1, *_) in enumerate(row):
             if head0 != (one if i == j else zero) or head1:
                 return False
     return all(

@@ -55,8 +55,9 @@ class Letter:
 
     Checked once, when made: the kind is 'T' or 'S', the indices are one of
     ``T_INDICES`` or ``S_INDICES``, and the parameter is a ring element.
-    What depends on the ring a letter is evaluated over, a parameter from
-    another ring or a ring without c3, raises on evaluation.
+    What depends on the ring a letter is evaluated over is checked on
+    evaluation: ``eval_word`` refuses a ring of fewer than three variables
+    before it applies any letter, and a parameter from another ring raises.
     """
 
     kind: str
@@ -204,7 +205,14 @@ def _times_letters(m: Mat, letters) -> Mat:
 def eval_word(ring: RingDescriptor, word: TameWord) -> StabMatrix:
     """The product of the word's letters; each letter fixes the column and
     has determinant 1 for every parameter, so the product is certified by
-    construction."""
+    construction.  The column is (c1, c2, c3), so a ring of fewer than three
+    variables is refused with ``OutOfRangeError`` before any letter is
+    applied, the empty word included."""
+    if ring.nvars < 3:
+        raise OutOfRangeError(
+            f"a tame word needs a ring with at least 3 variables, got {ring.nvars}: "
+            "its letters fix the column (c1, c2, c3)"
+        )
     return StabMatrix(_times_letters(identity(ring, 3), word.letters))
 
 

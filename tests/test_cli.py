@@ -467,7 +467,13 @@ def _identity_in_ring_of(nvars, n=3):
     ]
     + [["verify", "--nvars", "1"], ["verify", "--suite", "decomposition", "--nvars", "1"]]
     # A 1x1 matrix stabilizes no column (exit 1), so exit 3 comes from the ring.
-    + [["check-stab", "--inline", _identity_in_ring_of(v, 1)] for v in (True, 3.7, "3", 3.0)],
+    + [["check-stab", "--inline", _identity_in_ring_of(v, 1)] for v in (True, 3.7, "3", 3.0)]
+    # Refused before any letter, whatever the seed draws: seed 8 draws no T
+    # letter, and the empty word none at all.
+    + [
+        ["tame-sample", "--nvars", "2", "--length", "2", "--seed", "8"],
+        ["tame-sample", "--nvars", "1", "--length", "0"],
+    ],
     ids=[
         "decompose-nvars-0", "decompose-var-5", "decompose-depth-0",
         "verify-nvars-0", "verify-nvars-2", "tame-sample-nvars-2",
@@ -479,6 +485,7 @@ def _identity_in_ring_of(nvars, n=3):
         "reduce-doc-nvars-2", "verify-nvars-1", "verify-decomposition-nvars-1",
         "check-stab-doc-nvars-true", "check-stab-doc-nvars-float",
         "check-stab-doc-nvars-string", "check-stab-doc-nvars-integral-float",
+        "tame-sample-nvars-2-seed-8", "tame-sample-nvars-1-empty-word",
     ],
 )
 def test_out_of_range_ring_arguments_exit_3_with_json(capsys, argv):

@@ -213,6 +213,30 @@ def test_shape_errors():
         row.adjugate()
 
 
+@pytest.mark.parametrize(
+    "ring, message",
+    [
+        ({"mode": "both", "nvars": 3}, "'mode' must be 'polynomial' or 'laurent', got 'both'"),
+        ({"mode": [], "nvars": 3}, "'mode' must be 'polynomial' or 'laurent', got []"),
+        ({"nvars": 3}, "ring document needs 'mode', 'polynomial' or 'laurent'"),
+        ({"mode": "laurent"}, "ring document needs 'nvars', an integer"),
+        ([], "a ring document is an object, not []"),
+        ({"mode": "laurent", "nvars": 3, "coeff": []}, "bad coefficient domain []"),
+        ({"mode": "laurent", "nvars": "3"}, "'nvars' must be an integer, got '3'"),
+    ],
+    ids=[
+        "unknown-mode", "list-mode", "missing-mode", "missing-nvars", "list-ring",
+        "list-coeff", "string-nvars",
+    ],
+)
+def test_a_bad_ring_document_names_its_field(ring, message):
+    # Each a ShapeError (exit 3 from the CLI) naming the field and what it
+    # may hold, never the text of a KeyError or TypeError.
+    with pytest.raises(ShapeError) as err:
+        mat_from_document({"ring": ring, "entries": [["1"]]})
+    assert str(err.value) == message
+
+
 def test_a_matrix_meets_only_matrices_and_scale_multiplies(ring3):
     # A scalar multiple is m.scale(x); m * x, x * m and -m are type errors,
     # whatever the scalar.

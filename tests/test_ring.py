@@ -27,10 +27,12 @@ from colstab import (
     RingDescriptor,
     RingElement,
     ShapeError,
+    TameWord,
     c_adic_decompose,
     cohn_matrix,
     delta_split_linear,
     delta_split_quadratic,
+    eval_word,
     format_element,
     gen_T,
     in_delta,
@@ -184,10 +186,23 @@ def test_bool_coefficients_are_stored_as_numbers(coeff):
             lambda: gen_T(POLY3, 1, 2, 3, Fraction(1, 2)),
             "fractional coefficient in an integer ring",
         ),
+        (
+            lambda: POLY3.monomial(1, (0.5, 0, 0)),
+            re.escape("exponent vector must be a sequence of integers, not (0.5, 0, 0)"),
+        ),
+        (
+            lambda: POLY3.monomial(1, "abc"),
+            "exponent vector must be a sequence of integers, not 'abc'",
+        ),
+        (
+            lambda: RingElement(POLY3, {(0.5, 0, 0): 1}),
+            re.escape("exponent vector must be a sequence of integers, not (0.5, 0, 0)"),
+        ),
     ],
     ids=[
         "float-coefficient", "float-rational-coefficient", "negative-exponent",
-        "short-exponents", "fraction-parameter",
+        "short-exponents", "fraction-parameter", "float-exponent", "string-exponents",
+        "float-exponent-term",
     ],
 )
 def test_coefficients_and_exponents_outside_the_ring_are_domain_errors(make, message):
@@ -215,11 +230,16 @@ def test_coefficients_and_exponents_outside_the_ring_are_domain_errors(make, mes
         ),
         (lambda: c_heads(POLY3.one, 3, 0), "depth must lie in 1..64"),
         (lambda: c_heads(LAUR3.one, 3, 65), "depth must lie in 1..64"),
+        (
+            lambda: eval_word(POLY2, TameWord(())),
+            "a tame word needs a ring with at least 3 variables, got 2: "
+            "its letters fix the column (c1, c2, c3)",
+        ),
     ],
     ids=[
         "negative-power", "third-ideal-power", "equal-transvection-indices",
         "letter-kind", "letter-indices", "laurent-cohn", "one-variable-cohn",
-        "zero-depth-heads", "deep-heads",
+        "zero-depth-heads", "deep-heads", "two-variable-word",
     ],
 )
 def test_arguments_outside_an_operations_range_are_domain_errors(make, message):
@@ -984,6 +1004,11 @@ def test_format_element_names_the_digit_limit_and_prints_up_to_it(coeff):
             "bad coefficient domain {}",
         ),
         (
+            lambda big: ring_from_document({"mode": big, "nvars": 3}),
+            ShapeError,
+            "'mode' must be 'polynomial' or 'laurent', got {}",
+        ),
+        (
             lambda big: run_suite(big, POLY3, 1, 0),
             OutOfRangeError,
             f"unknown suite {{}}; the suites are {', '.join([*SUITES, 'all'])}",
@@ -992,7 +1017,7 @@ def test_format_element_names_the_digit_limit_and_prints_up_to_it(coeff):
     ids=[
         "variable-index", "word-length", "coefficient-bound", "trials", "letter-kind",
         "letter-indices", "transvection-entry", "mode", "coeff", "coefficient-tuple",
-        "exponent", "document-coeff", "suite",
+        "exponent", "document-coeff", "document-mode", "suite",
     ],
 )
 def test_a_rejected_integer_too_long_to_print_is_named_by_its_digit_count(

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import json
 import random
 import re
@@ -589,9 +590,12 @@ def test_shared_heads_match_fresh_heads_and_the_parent_bodies(
     assert in_H(a) == _parent_in_H(a)
     if kernel:
         assert in_H(a)
-    for i in range(3):
+    assert residues(a) == _parent_residues(a)
+    # Heads 0 and 1 in rows 1 and 2, heads 0 to 2 in row 3: what the residue
+    # routes and in_H read between them.
+    for i, depth in enumerate((2, 2, 3)):
         for j in range(2):
-            assert a._c3_heads[i][j] == c_heads(a.mat[i, j], 3, 2)
+            assert a._c3_heads[i][j] == c_heads(a.mat[i, j], 3, depth)
 
 
 @pytest.mark.parametrize("ring", RINGS3, ids=_ring_id)
@@ -611,11 +615,50 @@ def test_a_stabilizer_takes_each_head_once(ring, monkeypatch):
             rho(a)
             residues_closed_form(a)
             assert in_H(a) is in_kernel
-        # The first two columns once each, row by row, whatever reads them;
-        # the third's one head per in_H call, and only once the first two pass.
-        first_two = [(x, 3, 2) for row in a.mat.rows for x in row[:2]]
-        third = [(row[2], 3, 1) for row in a.mat.rows]
-        assert taken == first_two + (third * 2 if in_kernel else [])
+        # The first two columns once each, row by row, whatever reads them,
+        # to depth 3 in row 3 and 2 above it; the third's one head per in_H
+        # call, and only once the first two pass.
+        assert taken == _first_two_columns(a) + (_third_column(a) * 2 if in_kernel else [])
+
+
+def _first_two_columns(a):
+    """The ``c_heads`` calls of ``StabMatrix._c3_heads``, in order."""
+    rows = a.mat.rows
+    return [(x, 3, 3 if i == 2 else 2) for i, row in enumerate(rows) for x in row[:2]]
+
+
+def _third_column(a):
+    """The ``c_heads`` calls of one ``in_H`` call past the first two columns."""
+    return [(row[2], 3, 1) for row in a.mat.rows]
+
+
+@pytest.mark.parametrize("ring", RINGS3, ids=_ring_id)
+def test_every_reader_shares_each_head_in_any_order(ring, monkeypatch):
+    taken = []
+
+    def counting(x, k, t):
+        taken.append((x, k, t))
+        return c_heads(x, k, t)
+
+    readers = {"rho": rho, "closed": residues_closed_form, "residues": residues, "in_H": in_H}
+    samples = [
+        (_sample_kernel_member(random.Random(13), ring), True),
+        (_sample(ring, 13, length=8), False),
+    ]
+    expected = [{name: read(a) for name, read in readers.items()} for a, _ in samples]
+    monkeypatch.setattr(colstab.stab, "c_heads", counting)
+    for (sample, in_kernel), results in zip(samples, expected):
+        for order in itertools.permutations(readers):
+            a = StabMatrix(sample.mat)
+            taken.clear()
+            for name in order + order:
+                assert readers[name](a) == results[name]
+            # Whichever reader comes first takes the first two columns'
+            # heads, once; in_H takes the third's on each call that gets past
+            # them.
+            third = _third_column(a) * 2 if in_kernel else []
+            assert Counter(taken) == Counter(_first_two_columns(a) + third)
+            assert taken[:6] == _first_two_columns(a)
 
 
 def _parent_residues(a):
@@ -676,23 +719,25 @@ def test_residues_take_the_entries_heads_and_build_no_numerator(ring, monkeypatc
         taken.clear()
         assert residues(a) == quadruple
         # Heads 0 and 1 of rows 1 and 2 and heads 0 to 2 of row 3, in the
-        # first two columns; each entry once, and no memo kept.
-        rows = a.mat.rows
-        depths = [(x, 3, 3 if i == 2 else 2) for i, row in enumerate(rows) for x in row[:2]]
-        assert Counter(taken) == Counter(depths)
-        assert "_c3_heads" not in vars(a) and "_closed_form" not in vars(a)
+        # first two columns, each entry once, through the shared memo; the
+        # closed form is not taken.
+        assert taken == _first_two_columns(a)
+        assert "_c3_heads" in vars(a) and "_closed_form" not in vars(a)
+        taken.clear()
+        assert residues(a) == quadruple and taken == []
 
 
-def test_residues_never_reads_the_shared_heads(ring3):
+def test_residues_follow_the_shared_heads(ring3):
     a, b = _sample(ring3, 9, length=8), _sample(ring3, 10, length=8)
     expected = residues(a)
-    assert "_c3_heads" not in vars(a)
-    # With another stabilizer's heads in its memo, the closed form follows
-    # the memo while the relations route takes the entries' heads afresh.
+    assert "_c3_heads" in vars(a)
+    # With another stabilizer's heads in its memo, both residue routes
+    # follow the memo: the relations route reads the heads the closed form
+    # reads, and shares none of its formulas.
     poisoned = StabMatrix(a.mat)
     vars(poisoned)["_c3_heads"] = b._c3_heads
-    assert residues(poisoned) == expected
-    assert residues_closed_form(poisoned) == residues(b) != expected
+    assert residues(poisoned) == residues(b) != expected
+    assert residues_closed_form(poisoned) == residues(b)
 
 
 @pytest.fixture
@@ -739,18 +784,19 @@ def test_a_failed_closed_form_is_never_kept(ring3, closed_forms_taken):
     assert len(closed_forms_taken) == 3
 
 
-def test_residues_never_reads_either_memo(ring3):
+def test_residues_never_reads_the_closed_form(ring3):
     a, b = _sample(ring3, 9, length=8), _sample(ring3, 10, length=8)
     expected = residues(a)
-    assert "_c3_heads" not in vars(a) and "_closed_form" not in vars(a)
+    assert "_closed_form" not in vars(a)
     # With another stabilizer's residues kept as its closed form, rho and
-    # residues_closed_form follow the memo; the relations route does not.
+    # residues_closed_form follow the memo, taking no head; the relations
+    # route does not follow it.
     poisoned = StabMatrix(a.mat)
     vars(poisoned)["_closed_form"] = residues_closed_form(b)
-    assert residues(poisoned) == expected != residues(b)
     assert residues_closed_form(poisoned) == residues(b)
     assert rho(poisoned).mat == rho(b).mat
     assert "_c3_heads" not in vars(poisoned)
+    assert residues(poisoned) == expected != residues(b)
 
 
 def test_heads_only_callers_divide_by_no_c3(ring3, monkeypatch):
